@@ -24,7 +24,7 @@ from .heegaard import dim_K_q, lens_module
 from .matideals import random_instance, verify_lr_quotient
 from .multipoly import MultiPoly
 from .oracle import state_sum
-from .solidtorus import act
+from .solidtorus import act, diagram_columns
 from .torus import TorusSkein, commutator, is_central, thread_torus, torus_mul
 
 GENERIC = GenericQ()
@@ -177,9 +177,17 @@ def criterion_5_transparency():
     return True, "threaded classes central for n in {1,2,3,5,6,7,10}; controls hold"
 
 
-def criterion_6_action_cross_validation(cache=None):
-    labels = ((1, 0), (0, 1), (1, 1), (1, -1))
+def criterion_6_action_cross_validation():
     fields = _fields_for((3, 5, 6))
+    # every primitive label the module-law grid reaches, on every degree it reaches
+    for field in fields:
+        for label in ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (1, -2), (2, 1), (2, -1)):
+            oracle = diagram_columns(*label, 13, field)
+            a = TorusSkein.curve(field, *label)
+            for k, column in enumerate(oracle):
+                if act(a, AnnulusSkein.z_power(field, k)) != column:
+                    return False, f"action differs from diagrams: {label} on z^{k} over {field.tag}"
+    labels = ((1, 0), (0, 1), (1, 1), (1, -1))
     for field in fields:
         for la, lb in iter_product(labels, repeat=2):
             a = TorusSkein.curve(field, *la)
@@ -187,38 +195,41 @@ def criterion_6_action_cross_validation(cache=None):
             ab = torus_mul(a, b)
             for k in range(13):
                 v = AnnulusSkein.z_power(field, k)
-                if act(ab, v, cache) != act(a, act(b, v, cache), cache):
+                if act(ab, v) != act(a, act(b, v)):
                     return False, f"module law fails: {la}*{lb} on z^{k} over {field.tag}"
-    return True, "act(a*b, z^k) = act(a, act(b, z^k)), 16 pairs, k<=12, 4 fields"
+    return True, (
+        "act = diagrams on 8 primitive labels, k<=13; "
+        "act(a*b, z^k) = act(a, act(b, z^k)), 16 pairs, k<=12; 4 fields"
+    )
 
 
 _LENS_DIMS: dict[int, int] = {}
 
 
-def _lens_dim(p, cache=None):
+def _lens_dim(p):
     if p not in _LENS_DIMS:
-        _LENS_DIMS[p] = dim_K_q(p, 1, cache=cache)
+        _LENS_DIMS[p] = dim_K_q(p, 1)
     return _LENS_DIMS[p]
 
 
-def criterion_7_lens_anchors(cache=None):
+def criterion_7_lens_anchors():
     for field in _fields_for((2, 3, 5, 6, 7, 10)):
-        rep = lens_module(1, 0, field, cache=cache)
+        rep = lens_module(1, 0, field)
         if not (rep.stabilized and rep.dimension == 1):
             return False, f"S^3 over {field.tag}: {rep!r}"
     dims = {}
     for p in range(2, 9):
-        d = _lens_dim(p, cache)
+        d = _lens_dim(p)
         dims[p] = d
         if d != p // 2 + 1:
             return False, f"L({p},1) gave {d}, expected {p // 2 + 1}"
     return True, f"S^3 = 1 in 7 fields; L(p,1) dims {dims}"
 
 
-def criterion_8_rational_cross_check(cache=None):
+def criterion_8_rational_cross_check():
     rows = []
     for p in range(2, 9):
-        lens_dim = _lens_dim(p, cache)
+        lens_dim = _lens_dim(p)
         ring_dim = char_ring(GroupPresentation.cyclic(p)).total_dim
         rows.append((p, lens_dim, ring_dim))
         if lens_dim != ring_dim:
@@ -374,15 +385,12 @@ CRITERIA = (
 )
 
 
-def run_all(verbose=True, cache=None):
+def run_all(verbose=True):
     results = []
     for name, fn in CRITERIA:
         start = time.time()
         try:
-            if fn in (criterion_6_action_cross_validation, criterion_7_lens_anchors, criterion_8_rational_cross_check):
-                passed, detail = fn(cache)
-            else:
-                passed, detail = fn()
+            passed, detail = fn()
         except Exception as exc:  # a crash is a failure, not an abort
             passed, detail = False, f"exception: {exc!r}"
         elapsed = time.time() - start

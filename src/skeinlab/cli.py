@@ -34,6 +34,21 @@ def _field(tag):
     return field_from_tag(tag)
 
 
+def _load(path, parse):
+    """Read a JSON input file and build an object from it with ``parse``.
+
+    JSON of the wrong shape (a number where a list belongs, a list where an
+    object belongs) surfaces as TypeError or AttributeError inside ``parse``;
+    it is malformed input like any other.
+    """
+    with open(path) as fh:
+        data = json.load(fh)
+    try:
+        return parse(data)
+    except (TypeError, AttributeError) as exc:
+        raise SkeinError(f"malformed input {path}: {exc}") from exc
+
+
 def _emit(args, command, parameters, inputs, data):
     out = getattr(args, "out", None)
     if out:
@@ -45,8 +60,7 @@ def _emit(args, command, parameters, inputs, data):
 
 
 def cmd_bracket(args):
-    with open(args.diagram) as fh:
-        diagram = FramedDiagram.from_json(json.load(fh))
+    diagram = _load(args.diagram, FramedDiagram.from_json)
     field = _field(args.field)
     if diagram.surface == ANNULUS:
         value = bracket_annulus(diagram, field)
@@ -66,8 +80,7 @@ def cmd_bracket(args):
 
 
 def cmd_thread(args):
-    with open(args.input) as fh:
-        skein = AnnulusSkein.from_json(json.load(fh))
+    skein = _load(args.input, AnnulusSkein.from_json)
     result = thread_annulus(skein, args.m)
     print(result)
     _emit(args, "thread", {"m": args.m}, [args.input], result.to_json())
@@ -80,16 +93,13 @@ def cmd_torus(args):
         if not args.b:
             print("torus mul/commutator needs --b", file=sys.stderr)
             return EXIT_BAD_INPUT
-        with open(args.a) as fh:
-            a = TorusSkein.from_json(json.load(fh), field)
-        with open(args.b) as fh:
-            b = TorusSkein.from_json(json.load(fh), field)
+        a = _load(args.a, lambda data: TorusSkein.from_json(data, field))
+        b = _load(args.b, lambda data: TorusSkein.from_json(data, field))
         result = torus_mul(a, b) if args.op == "mul" else commutator(a, b)
         print(result)
         _emit(args, f"torus {args.op}", {"n": args.n}, [args.a, args.b], result.to_json())
         return EXIT_OK
-    with open(args.a) as fh:
-        a = TorusSkein.from_json(json.load(fh), field)
+    a = _load(args.a, lambda data: TorusSkein.from_json(data, field))
     central = is_central(a, args.bound)
     print("central" if central else "not central")
     _emit(
@@ -126,8 +136,7 @@ def cmd_charring(args):
 
 
 def cmd_groebner(args):
-    with open(args.ideal) as fh:
-        ideal = PolyIdeal.from_json(json.load(fh))
+    ideal = _load(args.ideal, PolyIdeal.from_json)
     ring = buchberger(ideal, args.order)
     dim = ring.dimension()
     data = {
@@ -141,8 +150,7 @@ def cmd_groebner(args):
 
 
 def cmd_decompose(args):
-    with open(args.ideal) as fh:
-        ideal = PolyIdeal.from_json(json.load(fh))
+    ideal = _load(args.ideal, PolyIdeal.from_json)
     ring = buchberger(ideal, "degrevlex")
     if ring.dimension() is None:
         print("positive-dimensional; no decomposition", file=sys.stderr)

@@ -425,6 +425,8 @@ class RationalFunction:
 # cyclotomic fields
 
 _CYCLO_CACHE: dict[int, tuple[int, list[Fraction], list[list[Fraction]]]] = {}
+# (n, e mod n) -> zeta_n^e; scalars are immutable, so callers share them
+_ZETA_POWERS: dict[tuple[int, int], "CyclotomicScalar"] = {}
 
 
 def cyclotomic_polynomial(n: int) -> list[Fraction]:
@@ -490,12 +492,14 @@ class CyclotomicScalar:
 
     @classmethod
     def zeta_power(cls, n, e):
-        deg, phi_n, _ = _cyclo_data(n)
-        e %= n
-        dense = [Fraction(0)] * (e + 1)
-        dense[e] = Fraction(1)
-        _, r = _poly_divmod(dense, phi_n)
-        return cls(n, r)
+        key = (n, e % n)
+        value = _ZETA_POWERS.get(key)
+        if value is None:
+            _, phi_n, _ = _cyclo_data(n)
+            dense = [Fraction(0)] * key[1] + [Fraction(1)]
+            _, r = _poly_divmod(dense, phi_n)
+            value = _ZETA_POWERS[key] = cls(n, r)
+        return value
 
     def _check(self, other):
         if self.n != other.n:

@@ -14,10 +14,12 @@ Middle linearity for products of generators follows from the generator
 relations inside the truncation, so the quotient needs nothing else. The
 generator set is the gluing image of {meridian, longitude, (1,1)}, which
 keeps the B-side actions trivial; the (1,1) generator is redundant whenever
-q^2 - q^-2 is invertible and is dropped then to keep diagrams small.
+q^2 - q^-2 is invertible and is dropped then to keep the relations few.
 
-A reported dimension is accepted only when truncations N, N+1, N+2 agree;
-non-stabilized results are returned flagged, never silently truncated.
+Stabilization is a heuristic: a report is flagged stable when the windows
+N, N+1 and N+2 give the same dimension. Agreement on three windows does not
+prove that larger windows agree; it is what the rule checks, nothing more.
+Results that disagree are returned flagged, never silently truncated.
 """
 
 from __future__ import annotations
@@ -229,7 +231,7 @@ def _generator_pairs(gluing: GluingMatrix, field: CoeffField):
     return pairs
 
 
-def _truncated_dim(gluing: GluingMatrix, field: CoeffField, bound: int, cache=None):
+def _truncated_dim(gluing: GluingMatrix, field: CoeffField, bound: int):
     """Dimension of the image of the (bound x bound) window in the padded
     truncated quotient.
 
@@ -255,9 +257,9 @@ def _truncated_dim(gluing: GluingMatrix, field: CoeffField, bound: int, cache=No
         skein_b = TorusSkein.curve(field, *g_b)
         for i in range(padded + 1):
             if (g_h, i) not in acted_h:
-                acted_h[(g_h, i)] = act(skein_h, AnnulusSkein.z_power(field, i), cache)
+                acted_h[(g_h, i)] = act(skein_h, AnnulusSkein.z_power(field, i))
             if (g_b, i) not in acted_b:
-                acted_b[(g_b, i)] = act(skein_b, AnnulusSkein.z_power(field, i), cache)
+                acted_b[(g_b, i)] = act(skein_b, AnnulusSkein.z_power(field, i))
     rows = []
     for g_h, g_b in gens:
         for i in range(padded + 1):
@@ -296,14 +298,20 @@ def _truncated_dim(gluing: GluingMatrix, field: CoeffField, bound: int, cache=No
     return dim, sorted(basis)
 
 
-def lens_module(p: int, q: int, field: CoeffField, truncation: int | None = None, cache=None) -> LensReport:
-    """Skein module of L(p,q) (or S^1 x S^2 for (0,1)) by truncated saturation."""
+def lens_module(p: int, q: int, field: CoeffField, truncation: int | None = None) -> LensReport:
+    """Skein module of L(p,q) (or S^1 x S^2 for (0,1)) by truncated saturation.
+
+    ``stabilized`` says whether the windows N, N+1, N+2 agree; see the
+    module docstring for why that is a heuristic.
+    """
+    if truncation is not None and truncation < 0:
+        raise SkeinError(f"truncation must be non-negative, got {truncation}")
     gluing = GluingMatrix.lens(p, q)
     N = truncation if truncation is not None else max(abs(p) + 2, 4)
     dims = {}
     basis_at_n = None
     for M in (N, N + 1, N + 2):
-        dim, basis = _truncated_dim(gluing, field, M, cache)
+        dim, basis = _truncated_dim(gluing, field, M)
         dims[M] = dim
         if M == N:
             basis_at_n = basis
@@ -311,15 +319,16 @@ def lens_module(p: int, q: int, field: CoeffField, truncation: int | None = None
     return LensReport(p, q, field.tag, N, dims[N], stable, basis_at_n, dims)
 
 
-def dim_K_q(p: int, q: int, max_truncation: int | None = None, cache=None) -> int:
-    """Stabilized dimension over Q(q); raises if stabilization is not reached."""
+def dim_K_q(p: int, q: int, max_truncation: int | None = None) -> int:
+    """Dimension over Q(q) at the first truncation whose three windows agree;
+    raises if no window up to the budget does."""
     field = GenericQ()
     start = max(abs(p) + 2, 4)
     limit = max_truncation if max_truncation is not None else 2 * abs(p) + 12
     dims_seen = {}
     N = start
     while N <= limit:
-        report = lens_module(p, q, field, N, cache)
+        report = lens_module(p, q, field, N)
         dims_seen.update(report.dims)
         if report.stabilized:
             return report.dimension

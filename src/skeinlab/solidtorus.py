@@ -1,36 +1,38 @@
 """Action of the torus skein algebra on the solid torus.
 
-The action of a primitive boundary slope (p,q) on the z^k basis is computed
-by diagram resolution: push the curve into a boundary collar, stack it with
-k parallel cores, evaluate the bracket, and rescale by the surface-framing
-normalization (-q^3)^(-q) for p >= 1. The normalization accounts for the
-difference between the blackboard framing of the flattened closed-braid
-projection and the framing the curve inherits from the boundary torus; it is
-what makes the diagrammatic action a module over the product-to-sum algebra
-(checked exhaustively by the cross-validation suite, see acceptance item 6).
+The skein module of the solid torus is cyclic over the torus algebra and is
+generated by the empty link (Frohman-Gelca, "Skein modules and the
+noncommutative torus", Trans. AMS 352, 2000). So the whole action follows
+from the images e(p,r) = (p,r).empty, which product-to-sum fixes:
 
-Non-primitive labels (dp, dq) act as T_d of the primitive action. Columns
-are computed over generic q once, cached on disk (atomic rename, safe for
-concurrent writers), and specialized into other coefficient fields on demand.
+    e(0,r)   = T_r(delta)                        (the meridian bounds a disk)
+    e(1,0)   = z,  e(1,1) = -q^-3 z              (framing normalization)
+    delta e(1,r) = q e(1,r+1) + q^-1 e(1,r-1)    (meridian times (1,r))
+    z e(p,r)     = q^r e(p+1,r) + q^-r e(p-1,r)  (longitude times (p,r))
+
+with the label (0,0) on a right-hand side meaning T_0 = 2 * empty. A column
+comes from z^k = sum_j c_j T_j(z) and (a,b) * (j,0):
+
+    (a,b).z^k = 2 c_0 e(a,b) + sum_{j>=1} c_j (q^(-bj) e(a+j,b) + q^(bj) e(a-j,b))
+
+which holds for non-primitive labels as well. The recursions never divide,
+so they run in every coefficient field directly; only e(p,r) and finished
+columns are memoized, in memory, one ``ActionCache`` per field.
+
+The diagram engine stays as an independent oracle: ``diagram_columns``
+resolves the pushed boundary curve stacked with k cores, and acceptance
+criterion 6 compares it with the algebraic columns.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-import os
-import tempfile
 
-from .coeffs import CoeffField, GenericQ, specialize_scalar
+from .chebyshev import cheb_expand_power
+from .coeffs import CoeffField
 from .diagrams import AnnulusSkein, bracket_annulus, pushed_curve_with_cores
 from .errors import DiagramError
-
-_GENERIC = GenericQ()
-
-
-def cache_dir() -> str:
-    return os.environ.get("SKEINLAB_CACHE", os.path.join(os.getcwd(), ".skeinlab_cache"))
+from .torus import TorusSkein, normalize_label
 
 
 class ActionMatrix:
@@ -54,143 +56,108 @@ class ActionMatrix:
                 out[deg][k] = c
         return out
 
-    def to_json(self):
-        body = {
-            "curve": list(self.curve),
-            "degree_in": self.degree_in,
-            "field": self.field.tag,
-            "columns": [col.to_json()["terms"] for col in self.columns],
-        }
-        digest = hashlib.sha256(
-            json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
-        ).hexdigest()
-        body["content_hash"] = digest
-        return body
-
-    @classmethod
-    def from_json(cls, data, field):
-        cols = [
-            AnnulusSkein(field, {int(k): field.scalar_from_json(v) for k, v in terms})
-            for terms in data["columns"]
-        ]
-        return cls(tuple(data["curve"]), data["degree_in"], field, cols)
-
 
 class ActionCache:
-    """Generic-q action columns, in memory and on disk."""
+    """Images e(p,r) and action columns over one coefficient field, in memory."""
 
-    def __init__(self, directory=None):
-        self.directory = directory
-        self._mem: dict[tuple[int, int], list[AnnulusSkein]] = {}
+    def __init__(self, field: CoeffField):
+        self.field = field
+        self._images: dict[tuple[int, int], AnnulusSkein] = {}
+        self._columns: dict[tuple[int, int], list[AnnulusSkein]] = {}
 
-    def _dir(self):
-        return self.directory or cache_dir()
-
-    def _path(self, p, q):
-        return os.path.join(self._dir(), f"action_{p}_{q}_generic.json")
-
-    def _load(self, p, q):
-        cols = self._mem.get((p, q))
-        if cols is None:
-            cols = []
-            path = self._path(p, q)
-            if os.path.exists(path):
-                try:
-                    with open(path) as fh:
-                        data = json.load(fh)
-                    cols = ActionMatrix.from_json(data, _GENERIC).columns
-                except (ValueError, KeyError, OSError):
-                    cols = []
-            self._mem[(p, q)] = cols
-        return cols
-
-    def _store(self, p, q, cols):
-        self._mem[(p, q)] = cols
-        directory = self._dir()
-        os.makedirs(directory, exist_ok=True)
-        data = ActionMatrix((p, q), len(cols) - 1, _GENERIC, cols).to_json()
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        with os.fdopen(fd, "w") as fh:
-            json.dump(data, fh, sort_keys=True, separators=(",", ":"))
-        os.replace(tmp, self._path(p, q))
+    def image(self, p, r):
+        """e(p,r) = (p,r).empty; the label (0,0) stands for T_0 = 2 * empty."""
+        p, r = normalize_label(p, r)
+        e = self._images.get((p, r))
+        if e is None:
+            F = self.field
+            if p == 0 and r < 2:
+                e = AnnulusSkein(F, {0: F.from_int(2) if r == 0 else F.delta()})
+            elif p == 0:
+                e = self.image(0, r - 1).scale(F.delta()) - self.image(0, r - 2)
+            elif p == 1 and r in (0, 1):
+                e = AnnulusSkein.z_power(F, 1, F.one() if r == 0 else -F.q_power(-3))
+            elif p == 1:
+                s = 1 if r > 0 else -1
+                t = F.q_power(-s)
+                e = (self.image(1, r - s).scale(F.delta()) - self.image(1, r - 2 * s).scale(t)).scale(t)
+            else:
+                t = F.q_power(-r)
+                e = (self.image(p - 1, r).shift(1) - self.image(p - 2, r).scale(t)).scale(t)
+            self._images[(p, r)] = e
+        return e
 
     def columns(self, p, q, upto):
-        """Generic-q action columns of the primitive (p,q) for k = 0..upto."""
-        if math.gcd(abs(p), abs(q)) != 1:
-            raise DiagramError("action matrix requires a primitive curve")
-        cols = self._load(p, q)
-        if len(cols) <= upto:
-            cols = list(cols)
-            framing = _GENERIC.one()
-            if p != 0 and q != 0:
-                framing = (-_GENERIC.q_power(3)) ** (-q)
-            for k in range(len(cols), upto + 1):
-                value = bracket_annulus(pushed_curve_with_cores(p, q, k), _GENERIC)
-                cols.append(value.scale(framing))
-            self._store(p, q, cols)
+        """(p,q).z^k for k = 0..upto, for every label but (0,0)."""
+        a, b = normalize_label(p, q)
+        cols = self._columns.setdefault((a, b), [])
+        F = self.field
+        for k in range(len(cols), upto + 1):
+            col = AnnulusSkein.zero(F)
+            for j, c in cheb_expand_power(k).items():
+                if j == 0:
+                    col = col + self.image(a, b).scale(F.from_fraction(2 * c))
+                else:
+                    col = (
+                        col
+                        + self.image(a + j, b).scale(F.q_power(-b * j) * c)
+                        + self.image(a - j, b).scale(F.q_power(b * j) * c)
+                    )
+            cols.append(col)
         return cols
 
 
-_DEFAULT_CACHE = ActionCache()
+_CACHES: dict[CoeffField, ActionCache] = {}
 
 
-def action_matrix(p: int, q: int, N: int, field: CoeffField, cache=None) -> ActionMatrix:
+def action_cache(field: CoeffField) -> ActionCache:
+    """The process-wide memo of ``field``; its values are immutable."""
+    cache = _CACHES.get(field)
+    if cache is None:
+        cache = _CACHES[field] = ActionCache(field)
+    return cache
+
+
+def action_matrix(p: int, q: int, N: int, field: CoeffField) -> ActionMatrix:
     """Action of the primitive boundary curve (p,q) on z^0..z^N."""
-    cache = cache or _DEFAULT_CACHE
-    cols = cache.columns(p, q, N)[: N + 1]
-    if not isinstance(field, GenericQ):
-        cols = [
-            AnnulusSkein(field, {k: specialize_scalar(v, field) for k, v in col.coeffs.items()})
-            for col in cols
-        ]
-    return ActionMatrix((p, q), N, field, cols)
+    if math.gcd(abs(p), abs(q)) != 1:
+        raise DiagramError("action matrix requires a primitive curve")
+    return ActionMatrix((p, q), N, field, action_cache(field).columns(p, q, N)[: N + 1])
 
 
-def _apply_primitive(p, q, v: AnnulusSkein, cache) -> AnnulusSkein:
-    field = v.field
-    if not v:
-        return v
-    cols = cache.columns(p, q, v.degree())
-    out = AnnulusSkein.zero(field)
-    for k, c in v.coeffs.items():
-        col = cols[k]
-        if not isinstance(field, GenericQ):
-            col = AnnulusSkein(field, {d: specialize_scalar(x, field) for d, x in col.coeffs.items()})
-        out = out + col.scale(c)
-    return out
+def diagram_columns(p: int, q: int, upto: int, field: CoeffField) -> list[AnnulusSkein]:
+    """Oracle for ``ActionCache.columns``: (p,q).z^k for k = 0..upto by diagrams.
 
-
-def act(a, v: AnnulusSkein, cache=None) -> AnnulusSkein:
-    """Module action of a torus skein on a solid-torus skein.
-
-    Non-primitive labels expand through the Chebyshev recursion
-    w_{j+1} = M w_j - w_{j-1} applied to vectors, so only primitive action
-    matrices are ever taken from the diagram engine.
+    Push the primitive curve into a boundary collar, stack it with k parallel
+    cores, evaluate the bracket, and rescale by the surface-framing
+    normalization (-q^3)^(-q) for p, q both nonzero. The normalization
+    accounts for the difference between the blackboard framing of the
+    flattened closed-braid projection and the framing the curve inherits
+    from the boundary torus.
     """
-    from .torus import TorusSkein
+    p, q = normalize_label(p, q)
+    framing = field.one() if p == 0 or q == 0 else (-field.q_power(3)) ** (-q)
+    return [
+        bracket_annulus(pushed_curve_with_cores(p, q, k), field).scale(framing)
+        for k in range(upto + 1)
+    ]
 
+
+def act(a: TorusSkein, v: AnnulusSkein) -> AnnulusSkein:
+    """Module action of a torus skein on a solid-torus skein."""
     if not isinstance(a, TorusSkein):
         raise TypeError("act expects a TorusSkein")
     if a.field != v.field:
-        # allow acting with rational-coefficient skein on any field? no: strict.
         raise DiagramError(
             f"field mismatch: skein over {a.field.tag}, module over {v.field.tag}"
         )
-    cache = cache or _DEFAULT_CACHE
+    cache = action_cache(v.field)
     out = AnnulusSkein.zero(v.field)
     for (p, q), coeff in a.coeffs.items():
         if (p, q) == (0, 0):
             out = out + v.scale(coeff)
             continue
-        d = math.gcd(abs(p), abs(q))
-        p0, q0 = p // d, q // d
-        if d == 1:
-            out = out + _apply_primitive(p0, q0, v, cache).scale(coeff)
-        else:
-            w_prev = v.scale(v.field.from_int(2))  # T_0(M) v
-            w_cur = _apply_primitive(p0, q0, v, cache)  # T_1(M) v
-            for _ in range(d - 1):
-                w_next = _apply_primitive(p0, q0, w_cur, cache) - w_prev
-                w_prev, w_cur = w_cur, w_next
-            out = out + w_cur.scale(coeff)
+        cols = cache.columns(p, q, v.degree())
+        for k, c in v.coeffs.items():
+            out = out + cols[k].scale(c * coeff)
     return out

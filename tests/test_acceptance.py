@@ -11,14 +11,7 @@ from skeinlab import acceptance
 
 @pytest.mark.parametrize("name,fn", acceptance.CRITERIA, ids=[c[0] for c in acceptance.CRITERIA])
 def test_criterion(name, fn):
-    if fn in (
-        acceptance.criterion_6_action_cross_validation,
-        acceptance.criterion_7_lens_anchors,
-        acceptance.criterion_8_rational_cross_check,
-    ):
-        passed, detail = fn(None)
-    else:
-        passed, detail = fn()
+    passed, detail = fn()
     print(f"[{'PASS' if passed else 'FAIL'}] {name}: {detail}")
     assert passed, f"{name}: {detail}"
 

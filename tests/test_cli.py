@@ -124,3 +124,22 @@ def test_verify_cli(tmp_path, capsys):
 
 def test_missing_file_is_bad_input():
     assert main(["bracket", "/nonexistent/diagram.json"]) == 2
+
+
+def test_lens_negative_truncation_is_bad_input(capsys):
+    # windows below 0 are empty, so a report would read dim=0, stable
+    assert main(["lens", "--p", "3", "--q", "1", "--truncation", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
+def test_json_of_wrong_shape_is_bad_input(tmp_path, capsys):
+    skein = write(tmp_path / "skein.json", {"field": "generic", "terms": 5})
+    ideal = write(tmp_path / "ideal.json", [1, 2])
+    for argv in (
+        ["torus", "mul", "--a", skein, "--b", skein],
+        ["torus", "center-check", "--a", skein],
+        ["decompose", ideal],
+    ):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error:"), argv

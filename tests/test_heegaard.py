@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from skeinlab.coeffs import GenericQ, ZetaField
@@ -69,3 +71,11 @@ def test_lens_at_root_of_unity():
     rep = lens_module(2, 1, ZetaField(3))
     assert rep.stabilized
     assert rep.dimension >= 1
+
+
+def test_no_persistent_state(tmp_path, monkeypatch):
+    # the action is computed in memory: a lens computation leaves no file behind
+    monkeypatch.chdir(tmp_path)
+    rep = lens_module(3, 1, GenericQ())
+    assert rep.stabilized and rep.dimension == 2
+    assert os.listdir(tmp_path) == []

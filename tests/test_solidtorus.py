@@ -1,5 +1,3 @@
-import json
-import os
 from fractions import Fraction
 
 import pytest
@@ -8,7 +6,7 @@ from skeinlab.chebyshev import thread_annulus
 from skeinlab.coeffs import GenericQ, Rationals, ZetaField, root_spec
 from skeinlab.diagrams import AnnulusSkein
 from skeinlab.errors import DiagramError
-from skeinlab.solidtorus import ActionCache, act, action_matrix
+from skeinlab.solidtorus import ActionCache, act, action_matrix, diagram_columns
 from skeinlab.torus import TorusSkein, thread_torus, torus_mul
 
 F = GenericQ()
@@ -105,21 +103,20 @@ def test_threading_naturality():
         assert lhs == rhs
 
 
-def test_cache_round_trip(tmp_path):
-    cache = ActionCache(str(tmp_path))
-    cols = cache.columns(1, 1, 3)
-    path = os.path.join(str(tmp_path), "action_1_1_generic.json")
-    assert os.path.exists(path)
-    with open(path) as fh:
-        data = json.load(fh)
-    assert data["curve"] == [1, 1]
-    assert "content_hash" in data
-    # a fresh cache object reloads identical columns from disk
-    cache2 = ActionCache(str(tmp_path))
-    assert cache2.columns(1, 1, 3) == cols
-    # extension on demand keeps earlier columns
-    more = cache2.columns(1, 1, 5)
-    assert more[:4] == cols
+def test_columns_match_diagram_oracle():
+    # labels beyond the acceptance grid; q = -1 makes the larger diagrams cheap
+    cases = [(field, label, 3) for field in (F, ZetaField(7))
+             for label in ((3, 1), (3, 2), (3, -2), (1, 3))]
+    cases += [(Rationals(Fraction(-1)), label, 2) for label in ((2, 3), (4, -3))]
+    for field, label, upto in cases:
+        oracle = diagram_columns(*label, upto, field)
+        for k, column in enumerate(oracle):
+            got = act(curve(*label, field), AnnulusSkein.z_power(field, k))
+            assert got == column, (field.tag, label, k)
+    # the in-memory memo extends on demand and keeps earlier columns
+    cache = ActionCache(F)
+    first = list(cache.columns(1, 1, 3))
+    assert cache.columns(1, 1, 5)[:4] == first == diagram_columns(1, 1, 3, F)
 
 
 def test_specialized_matrix_agrees_with_specialization():
