@@ -28,10 +28,8 @@ from .coeffs import (
     Rationals,
     RootSpec,
     ZetaField,
-    cyclotomic_invert,
     field_from_tag,
     root_spec,
-    specialize,
 )
 from .diagrams import (
     AnnulusSkein,
@@ -39,9 +37,8 @@ from .diagrams import (
     bracket_annulus,
     bracket_disk,
     pushed_curve_with_cores,
-    torus_boundary_push,
 )
-from .groebner import PolyIdeal, QuotientRing, buchberger, quotient_dim
+from .groebner import PolyIdeal, QuotientRing, buchberger
 from .artinian import (
     LocalFactor,
     PresentedModule,
@@ -52,5 +49,5 @@ from .artinian import (
 from .heegaard import GluingMatrix, LensReport, dim_K_q, lens_module
 from .matideals import FinAlg, MatIdeal, column_space, row_space, verify_lr_quotient
 from .multipoly import MultiPoly
-from .solidtorus import ActionCache, ActionMatrix, act, action_matrix
+from .solidtorus import ActionCache, act
 from .torus import TorusSkein, commutator, is_central, thread_torus, torus_mul

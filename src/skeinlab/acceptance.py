@@ -12,6 +12,7 @@ import time
 from fractions import Fraction
 from itertools import product as iter_product
 
+from . import upoly
 from .artinian import PresentedModule, artinian_decompose, specialize_vs_localize
 from .braids import braid_closure
 from .charring import GroupPresentation, char_ring, trace_poly
@@ -86,47 +87,15 @@ def criterion_3_chebyshev():
     for j in range(21):
         for k in range(21):
             tj, tk = cheb_T(j), cheb_T(k)
-            prod = _poly_mul_dense(tj.coeffs, tk.coeffs)
-            expect = _poly_add_dense(cheb_T(j + k).coeffs, cheb_T(abs(j - k)).coeffs)
-            if list(prod) != list(expect):
+            prod = upoly.mul(tj.coeffs, tk.coeffs)
+            expect = upoly.add(cheb_T(j + k).coeffs, cheb_T(abs(j - k)).coeffs)
+            if prod != expect:
                 return False, f"product identity fails at ({j},{k})"
     for j in range(9):
         for k in range(9):
-            if _poly_compose_dense(cheb_T(j).coeffs, cheb_T(k).coeffs) != list(cheb_T(j * k).coeffs):
+            if upoly.compose(cheb_T(j).coeffs, cheb_T(k).coeffs) != list(cheb_T(j * k).coeffs):
                 return False, f"composition fails at ({j},{k})"
     return True, "T_j T_k = T_(j+k) + T_|j-k| (j,k<=20); T_j o T_k = T_jk (j,k<=8)"
-
-
-def _poly_mul_dense(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _poly_add_dense(a, b):
-    out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] += x
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _poly_compose_dense(a, b):
-    out = []
-    for c in reversed(a):
-        if out:
-            out = _poly_mul_dense(out, list(b))
-        out = _poly_add_dense(out, [c])
-    return out
 
 
 def _fields_for(ns):

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import sympy
 
-from .coeffs import _poly_divmod, _poly_gcd, _poly_mul
+from . import upoly
 from .errors import SkeinError
 from .groebner import PolyIdeal, QuotientRing, buchberger
 from .linalg import (
@@ -85,11 +85,8 @@ class LocalFactor:
         self.idempotent = idempotent  # ambient coordinate vector
 
     def to_json(self):
-        def pc(cs):
-            return [f"{c.numerator}/{c.denominator}" if c.denominator != 1 else str(c.numerator) for c in cs]
-
         return {
-            "point": {v: pc(cs) for v, cs in sorted(self.point.items())},
+            "point": {v: [upoly.frac_str(c) for c in cs] for v, cs in sorted(self.point.items())},
             "multiplicity": self.multiplicity,
             "point_count": self.point_count,
             "point_multiplicity": self.point_multiplicity,
@@ -128,7 +125,7 @@ def _block_minpoly(mat):
         if basis_rows and in_span(v, basis_rows):
             continue
         mp = minimal_polynomial(lambda w: mat_vec(mat, w), v, n)
-        done = _poly_lcm(done, mp)
+        done = upoly.lcm(done, mp)
         # grow the invariant span to skip dependent starts
         w = v
         rows = basis_rows + [w]
@@ -139,14 +136,6 @@ def _block_minpoly(mat):
         if len(done) == n + 1:
             break
     return done
-
-
-def _poly_lcm(a, b):
-    g = _poly_gcd(a, b)
-    q, r = _poly_divmod(_poly_mul(a, b), g)
-    assert not r
-    lead = q[-1]
-    return [c / lead for c in q]
 
 
 def artinian_decompose(ring: QuotientRing):
@@ -174,7 +163,7 @@ def artinian_decompose(ring: QuotientRing):
             for fc, e in factors:
                 pw = [Fraction(1)]
                 for _ in range(e):
-                    pw = _poly_mul(pw, fc)
+                    pw = upoly.mul(pw, fc)
                 m = _poly_of_matrix(pw, sub)
                 # kernel inside the block, lifted to ambient rows
                 ker = nullspace([[m[i][j] for j in range(len(sub))] for i in range(len(sub))])

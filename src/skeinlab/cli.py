@@ -38,14 +38,15 @@ def _load(path, parse):
     """Read a JSON input file and build an object from it with ``parse``.
 
     JSON of the wrong shape (a number where a list belongs, a list where an
-    object belongs) surfaces as TypeError or AttributeError inside ``parse``;
-    it is malformed input like any other.
+    object belongs) surfaces as TypeError or AttributeError inside ``parse``,
+    and a zero denominator ("1/0", an empty denominator polynomial) as
+    ZeroDivisionError; both are malformed input like any other.
     """
     with open(path) as fh:
         data = json.load(fh)
     try:
         return parse(data)
-    except (TypeError, AttributeError) as exc:
+    except (TypeError, AttributeError, ZeroDivisionError) as exc:
         raise SkeinError(f"malformed input {path}: {exc}") from exc
 
 
@@ -169,6 +170,9 @@ def cmd_decompose(args):
 def cmd_verify(args):
     if args.what != "cor-lr":
         print(f"unknown verification target {args.what}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    if args.seeds < 1:
+        print(f"error: --seeds must be at least 1, got {args.seeds}", file=sys.stderr)
         return EXIT_BAD_INPUT
     rows = []
     for seed in range(args.seeds):

@@ -15,96 +15,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from . import upoly
 from .errors import FourDividesOrderError, SkeinError
-
-# ---------------------------------------------------------------------------
-# small univariate helpers over Fraction, dense ascending coefficient lists
-
-
-def _poly_trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_add(a, b):
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] += x
-    return _poly_trim(out)
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_divmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv_lead = 1 / b[-1]
-    while len(a) >= len(b):
-        coeff = a[-1] * inv_lead
-        deg = len(a) - len(b)
-        q[deg] = coeff
-        for i, y in enumerate(b):
-            a[deg + i] -= coeff * y
-        _poly_trim(a)
-        if not a:
-            break
-    return _poly_trim(q), a
-
-
-def _poly_gcd(a, b):
-    a, b = list(a), list(b)
-    while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def _poly_ext_gcd(a, b):
-    """Return (g, u, v) with u*a + v*b = g, g monic."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_add(s0, [-c for c in _poly_mul(q, s1)])
-        t0, t1 = t1, _poly_add(t0, [-c for c in _poly_mul(q, t1)])
-    if r0:
-        lead = r0[-1]
-        r0 = [c / lead for c in r0]
-        s0 = [c / lead for c in s0]
-        t0 = [c / lead for c in t0]
-    return r0, s0, t0
-
-
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
-def _frac_parse(s) -> Fraction:
-    return Fraction(s)
-
-
-# ---------------------------------------------------------------------------
+from .upoly import frac_str
 
 
 class LaurentPoly:
@@ -208,16 +121,7 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative power of a Laurent polynomial; invert units explicitly")
-        result = LaurentPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return upoly.power(self, k, LaurentPoly.one())
 
     def min_exp(self):
         return min(self.terms) if self.terms else 0
@@ -251,11 +155,11 @@ class LaurentPoly:
         return total
 
     def to_json(self):
-        return {"terms": [[e, _frac_str(c)] for e, c in sorted(self.terms.items())]}
+        return {"terms": [[e, frac_str(c)] for e, c in sorted(self.terms.items())]}
 
     @classmethod
     def from_json(cls, data):
-        return cls({int(e): _frac_parse(c) for e, c in data["terms"]})
+        return cls({int(e): Fraction(c) for e, c in data["terms"]})
 
     def __str__(self):
         if not self.terms:
@@ -266,10 +170,10 @@ class LaurentPoly:
             sign = "-" if c < 0 else "+"
             mag = abs(c)
             if e == 0:
-                body = _frac_str(mag)
+                body = frac_str(mag)
             else:
                 var = "q" if e == 1 else f"q^{e}"
-                body = var if mag == 1 else f"{_frac_str(mag)}*{var}"
+                body = var if mag == 1 else f"{frac_str(mag)}*{var}"
             parts.append((sign, body))
         first_sign, first_body = parts[0]
         out = ("-" if first_sign == "-" else "") + first_body
@@ -279,22 +183,6 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({self})"
-
-
-def laurent_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    pa, _ = a.as_poly()
-    pb, _ = b.as_poly()
-    return LaurentPoly.from_poly(_poly_gcd(pa, pb))
-
-
-def laurent_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """a / b when b divides a exactly (up to a monomial unit)."""
-    pa, la = a.as_poly()
-    pb, lb = b.as_poly()
-    q, r = _poly_divmod(pa, pb)
-    if r:
-        raise SkeinError("inexact Laurent division")
-    return LaurentPoly.from_poly(q, la - lb)
 
 
 class RationalFunction:
@@ -317,12 +205,17 @@ class RationalFunction:
     def _normalize(num: LaurentPoly, den: LaurentPoly):
         if not num:
             return LaurentPoly.zero(), LaurentPoly.one()
+        if len(den.terms) == 1:
+            # a monomial denominator is a unit: no gcd to take
+            ((ld, lead),) = den.terms.items()
+            num = num.shifted(-ld)
+            return (num if lead == 1 else num * (1 / lead)), LaurentPoly.one()
         pn, ln = num.as_poly()
         pd, ld = den.as_poly()
-        g = _poly_gcd(pn, pd)
+        g = upoly.gcd(pn, pd)
         if len(g) > 1:
-            pn, _ = _poly_divmod(pn, g)
-            pd, _ = _poly_divmod(pd, g)
+            pn, _ = upoly.divmod(pn, g)
+            pd, _ = upoly.divmod(pd, g)
         lead = pd[-1]
         if lead != 1:
             pn = [c / lead for c in pn]
@@ -392,14 +285,7 @@ class RationalFunction:
     def __pow__(self, k):
         if k < 0:
             return self.inv() ** (-k)
-        out = RationalFunction(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return upoly.power(self, k, RationalFunction(1))
 
     def to_json(self):
         if self.is_laurent():
@@ -436,7 +322,7 @@ def cyclotomic_polynomial(n: int) -> list[Fraction]:
     poly = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]  # q^n - 1
     for d in range(1, n):
         if n % d == 0:
-            q, r = _poly_divmod(poly, cyclotomic_polynomial(d))
+            q, r = upoly.divmod(poly, cyclotomic_polynomial(d))
             assert not r
             poly = q
     return poly
@@ -446,20 +332,7 @@ def _cyclo_data(n: int):
     data = _CYCLO_CACHE.get(n)
     if data is None:
         phi_n = cyclotomic_polynomial(n)
-        deg = len(phi_n) - 1
-        # rows[j] = coefficients of x^(deg + j) reduced mod Phi_n
-        rows = []
-        cur = [-c for c in phi_n[:-1]]  # x^deg = -(lower part), Phi monic
-        rows.append(list(cur))
-        for _ in range(deg - 1):
-            nxt = [Fraction(0)] + cur[:-1]
-            top = cur[-1]
-            if top:
-                for i in range(deg):
-                    nxt[i] += top * rows[0][i]
-            cur = nxt
-            rows.append(list(cur))
-        data = (deg, phi_n, rows)
+        data = (len(phi_n) - 1, phi_n, upoly.reduction_rows(phi_n))
         _CYCLO_CACHE[n] = data
     return data
 
@@ -497,7 +370,7 @@ class CyclotomicScalar:
         if value is None:
             _, phi_n, _ = _cyclo_data(n)
             dense = [Fraction(0)] * key[1] + [Fraction(1)]
-            _, r = _poly_divmod(dense, phi_n)
+            _, r = upoly.divmod(dense, phi_n)
             value = _ZETA_POWERS[key] = cls(n, r)
         return value
 
@@ -564,12 +437,11 @@ class CyclotomicScalar:
         if not self:
             raise ZeroDivisionError("inverting zero cyclotomic scalar")
         _, phi_n, _ = _cyclo_data(self.n)
-        a = _poly_trim(list(self.coeffs))
-        g, u, _ = _poly_ext_gcd(a, phi_n)
+        a = upoly.trim(list(self.coeffs))
+        g, u, _ = upoly.ext_gcd(a, phi_n)
         if len(g) != 1:
             raise SkeinError("non-invertible element; Phi_n should be irreducible")
-        inv = [c / g[0] for c in u]
-        _, r = _poly_divmod(inv, phi_n)
+        _, r = upoly.divmod(u, phi_n)  # g = [1]: ext_gcd makes it monic
         return CyclotomicScalar(self.n, r)
 
     def __truediv__(self, other):
@@ -580,14 +452,7 @@ class CyclotomicScalar:
     def __pow__(self, k):
         if k < 0:
             return self.inv() ** (-k)
-        out = CyclotomicScalar.one(self.n)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return upoly.power(self, k, CyclotomicScalar.one(self.n))
 
     def as_fraction(self):
         """The rational value, when the element is rational; None otherwise."""
@@ -596,11 +461,11 @@ class CyclotomicScalar:
         return self.coeffs[0]
 
     def to_json(self):
-        return {"n": self.n, "coeffs": [_frac_str(c) for c in self.coeffs]}
+        return {"n": self.n, "coeffs": [frac_str(c) for c in self.coeffs]}
 
     @classmethod
     def from_json(cls, data):
-        return cls(int(data["n"]), [_frac_parse(c) for c in data["coeffs"]])
+        return cls(int(data["n"]), [Fraction(c) for c in data["coeffs"]])
 
     def __str__(self):
         if not self:
@@ -610,10 +475,10 @@ class CyclotomicScalar:
             if not c:
                 continue
             if e == 0:
-                body = _frac_str(abs(c))
+                body = frac_str(abs(c))
             else:
                 var = "z" if e == 1 else f"z^{e}"
-                body = var if abs(c) == 1 else f"{_frac_str(abs(c))}*{var}"
+                body = var if abs(c) == 1 else f"{frac_str(abs(c))}*{var}"
             parts.append(("-" if c < 0 else "+", body))
         out = ("-" if parts[0][0] == "-" else "") + parts[0][1]
         for sign, body in parts[1:]:
@@ -660,18 +525,6 @@ def root_spec(n: int) -> RootSpec:
     if eps not in (Fraction(1), Fraction(-1)):
         raise SkeinError(f"epsilon is not a sign for n={n}; got {zeta_pow}")
     return RootSpec(n, m, 1 if eps == 1 else -1)
-
-
-def specialize(p: LaurentPoly, spec: RootSpec) -> CyclotomicScalar:
-    """Ring homomorphism q -> zeta_n, image reduced mod Phi_n."""
-    out = CyclotomicScalar.zero(spec.n)
-    for e, c in p.terms.items():
-        out = out + CyclotomicScalar.zeta_power(spec.n, e) * c
-    return out
-
-
-def cyclotomic_invert(x: CyclotomicScalar) -> CyclotomicScalar:
-    return x.inv()
 
 
 # ---------------------------------------------------------------------------
@@ -754,10 +607,10 @@ class Rationals(CoeffField):
         return 1 / Fraction(x)
 
     def scalar_to_json(self, x):
-        return _frac_str(Fraction(x))
+        return frac_str(Fraction(x))
 
     def scalar_from_json(self, data):
-        return _frac_parse(data)
+        return Fraction(data)
 
 
 class GenericQ(CoeffField):

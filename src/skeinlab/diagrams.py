@@ -641,9 +641,3 @@ def pushed_curve_with_cores(p: int, q: int, cores: int) -> FramedDiagram:
     pd = [tuple(nm(a) for a in c) for c in crossings]
     int_marks = {nm(a): m for a, m in marks.items() if a in names}
     return FramedDiagram(ANNULUS, pd, winding_marks=int_marks)
-
-
-def torus_boundary_push(p: int, q: int) -> FramedDiagram:
-    """The (p,q) torus-boundary curve pushed into the solid torus,
-    blackboard framed, as a closed braid diagram."""
-    return pushed_curve_with_cores(p, q, 0)

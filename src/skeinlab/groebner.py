@@ -229,8 +229,3 @@ def buchberger(ideal: PolyIdeal, order: str = "degrevlex") -> QuotientRing:
         reduced.append(r.scale(1 / c))
     reduced.sort(key=lambda g: key(g.leading(key)[0]))
     return QuotientRing(ideal.vars, order, reduced)
-
-
-def quotient_dim(ring: QuotientRing):
-    """Standard-monomial count; None signals an infinite-dimensional quotient."""
-    return ring.dimension()

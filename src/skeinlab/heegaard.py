@@ -27,15 +27,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .coeffs import (
-    CoeffField,
-    GenericQ,
-    LaurentPoly,
-    RationalFunction,
-    Rationals,
-    laurent_exact_div,
-    laurent_gcd,
-)
+from .coeffs import CoeffField, GenericQ, Rationals
 from .diagrams import AnnulusSkein
 from .errors import SkeinError, StabilizationError
 from .solidtorus import act
@@ -114,7 +106,7 @@ class LensReport:
 class _PairEchelon:
     """Row space over basis pairs (i, j), pivoting on the largest pair.
 
-    Over the generic field the rows are cleared to Laurent polynomials and
+    Over the generic field the rows hold Laurent polynomials and are
     eliminated fraction-free (cross-multiplication plus content stripping);
     rational-function division would swamp the computation with gcd work.
     Other fields eliminate by ordinary division.
@@ -126,18 +118,13 @@ class _PairEchelon:
         self.pivots = {}
 
     def _clear(self, row):
-        den = LaurentPoly.one()
-        for v in row.values():
-            if isinstance(v, RationalFunction) and not v.is_laurent():
-                den = den * laurent_exact_div(v.den, laurent_gcd(den, v.den))
+        # the action never divides, so every entry is already Laurent
         out = {}
         for k, v in row.items():
-            if isinstance(v, RationalFunction):
-                num = v.num * laurent_exact_div(den, v.den)
-            else:
-                num = v * den
-            if num:
-                out[k] = num
+            if not v.is_laurent():
+                raise SkeinError(f"relation entry {v} is not a Laurent polynomial")
+            if v.num:
+                out[k] = v.num
         return out
 
     def _strip(self, row):

@@ -55,14 +55,6 @@ def identity(n, field=QQ):
     return [[field.one() if i == j else field.zero() for j in range(n)] for i in range(n)]
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, c):
-    return [[x * c for x in row] for row in a]
-
-
 def rref(matrix, field=QQ):
     """Reduced row echelon form: returns (rows, pivot_columns)."""
     rows = [list(r) for r in matrix]

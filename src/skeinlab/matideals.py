@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .errors import SkeinError
 from .linalg import in_span, rank, row_space_basis
+from .upoly import reduction_rows
 
 # ---------------------------------------------------------------------------
 
@@ -84,22 +85,15 @@ class FinAlg:
     @classmethod
     def univariate(cls, modulus):
         """Q[t]/(modulus), modulus ascending monic coefficients."""
-        from .coeffs import _poly_divmod
-
         m = [Fraction(c) for c in modulus]
         lead = m[-1]
         m = [c / lead for c in m]
         d = len(m) - 1
         if d < 1:
             raise SkeinError("modulus must have positive degree")
-        mult = [[None] * d for _ in range(d)]
-        for i in range(d):
-            for j in range(d):
-                dense = [Fraction(0)] * (i + j + 1)
-                dense[i + j] = Fraction(1)
-                _, r = _poly_divmod(dense, m)
-                r = list(r) + [Fraction(0)] * (d - len(r))
-                mult[i][j] = tuple(r[:d])
+        # powers[k] = t^k mod modulus for k = 0..2d-1
+        powers = [[int(t == k) for t in range(d)] for k in range(d)] + reduction_rows(m)
+        mult = [[powers[i + j] for j in range(d)] for i in range(d)]
         unit = tuple(Fraction(1) if t == 0 else Fraction(0) for t in range(d))
         return cls(d, mult, unit, check=False)
 

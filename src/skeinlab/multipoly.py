@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import SkeinError
+from .upoly import frac_str, power
 
 
 def lex_key(exps):
@@ -158,14 +159,7 @@ class MultiPoly:
         return r
 
     def __pow__(self, k):
-        out = MultiPoly.constant(self.vars, Fraction(1))
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, MultiPoly.constant(self.vars, Fraction(1)))
 
     def leading(self, key):
         if not self.terms:
@@ -188,10 +182,7 @@ class MultiPoly:
         return total if total != 0 else Fraction(0)
 
     def to_json(self):
-        def cstr(c):
-            return f"{c.numerator}/{c.denominator}" if c.denominator != 1 else str(c.numerator)
-
-        return {"terms": [[list(e), cstr(c)] for e, c in sorted(self.terms.items())]}
+        return {"terms": [[list(e), frac_str(c)] for e, c in sorted(self.terms.items())]}
 
     @classmethod
     def from_json(cls, variables, data):

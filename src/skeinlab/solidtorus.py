@@ -26,35 +26,11 @@ criterion 6 compares it with the algebraic columns.
 
 from __future__ import annotations
 
-import math
-
 from .chebyshev import cheb_expand_power
 from .coeffs import CoeffField
 from .diagrams import AnnulusSkein, bracket_annulus, pushed_curve_with_cores
 from .errors import DiagramError
 from .torus import TorusSkein, normalize_label
-
-
-class ActionMatrix:
-    """Exact action of a primitive (p,q) slope on z^0..z^N."""
-
-    __slots__ = ("curve", "degree_in", "field", "columns")
-
-    def __init__(self, curve, degree_in, field, columns):
-        self.curve = curve
-        self.degree_in = degree_in
-        self.field = field
-        self.columns = columns  # list of AnnulusSkein, index k
-
-    def entries(self):
-        """Rectangular matrix rows 0..N+|p|, columns 0..N."""
-        p = abs(self.curve[0])
-        rows = self.degree_in + p + 1
-        out = [[self.field.zero() for _ in range(self.degree_in + 1)] for _ in range(rows)]
-        for k, col in enumerate(self.columns):
-            for deg, c in col.coeffs.items():
-                out[deg][k] = c
-        return out
 
 
 class ActionCache:
@@ -116,13 +92,6 @@ def action_cache(field: CoeffField) -> ActionCache:
     if cache is None:
         cache = _CACHES[field] = ActionCache(field)
     return cache
-
-
-def action_matrix(p: int, q: int, N: int, field: CoeffField) -> ActionMatrix:
-    """Action of the primitive boundary curve (p,q) on z^0..z^N."""
-    if math.gcd(abs(p), abs(q)) != 1:
-        raise DiagramError("action matrix requires a primitive curve")
-    return ActionMatrix((p, q), N, field, action_cache(field).columns(p, q, N)[: N + 1])
 
 
 def diagram_columns(p: int, q: int, upto: int, field: CoeffField) -> list[AnnulusSkein]:

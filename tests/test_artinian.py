@@ -161,9 +161,9 @@ def test_factor_rational_poly():
     coeffs = [Fraction(c) for c in (-2, 4, 1, -2, 0)]  # -2 +4x +x^2 -2x^3 +0x^4...
     poly = [Fraction(-2), Fraction(4), Fraction(1), Fraction(-2), Fraction(1)]
     # build honestly: (x^2-2)*(x-1)^2 = (x^2-2)*(x^2-2x+1)
-    from skeinlab.coeffs import _poly_mul
+    from skeinlab import upoly
 
-    built = _poly_mul([Fraction(-2), Fraction(0), Fraction(1)], [Fraction(1), Fraction(-2), Fraction(1)])
+    built = upoly.mul([Fraction(-2), Fraction(0), Fraction(1)], [Fraction(1), Fraction(-2), Fraction(1)])
     facs = factor_rational_poly(built)
     normalized = sorted((tuple(f), e) for f, e in facs)
     assert ((Fraction(-2), Fraction(0), Fraction(1)), 1) in normalized

@@ -135,16 +135,16 @@ def test_cyclic_groups(p):
     assert all(f.point_multiplicity == 1 for f in rep.factors)
     # cluster minimal polynomials multiply to gcd(T_p - 2, T_{p+1} - x),
     # the squarefree polynomial whose roots are the 2 cos(2 pi j / p)
-    from skeinlab.coeffs import _poly_gcd, _poly_mul
+    from skeinlab import upoly
 
     prod = [Fraction(1)]
     for f in rep.factors:
-        prod = _poly_mul(prod, [Fraction(c) for c in f.point["x"]])
+        prod = upoly.mul(prod, [Fraction(c) for c in f.point["x"]])
     tp = [Fraction(c) for c in cheb_T(p).coeffs]
     tp[0] -= 2
     tp1 = [Fraction(c) for c in cheb_T(p + 1).coeffs]
     tp1[1] -= 1
-    expected = _poly_gcd(tp, tp1)
+    expected = upoly.gcd(tp, tp1)
     assert prod == expected
     # numeric root confirmation at high precision
     t = sympy.Symbol("t")

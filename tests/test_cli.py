@@ -120,6 +120,10 @@ def test_verify_cli(tmp_path, capsys):
     with open(out_path) as fh:
         rows = json.load(fh)
     assert len(rows) == 5 and all(r["equal"] for r in rows)
+    # no seeds would be a vacuous pass
+    for seeds in ("0", "-2"):
+        assert main(["verify", "cor-lr", "--seeds", seeds]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 def test_missing_file_is_bad_input():
@@ -136,10 +140,20 @@ def test_lens_negative_truncation_is_bad_input(capsys):
 def test_json_of_wrong_shape_is_bad_input(tmp_path, capsys):
     skein = write(tmp_path / "skein.json", {"field": "generic", "terms": 5})
     ideal = write(tmp_path / "ideal.json", [1, 2])
+    # zero denominators: a rational coefficient, a generic-q denominator
+    annulus = write(tmp_path / "annulus.json", {"field": "rationals", "terms": [[0, "1/0"]]})
+    ideal_zero = write(tmp_path / "ideal0.json", {"vars": ["x"], "gens": [{"terms": [[[1], "1/0"]]}]})
+    torus_zero = write(
+        tmp_path / "torus0.json",
+        {"field": "generic", "terms": [[1, 0, {"num": {"terms": [[0, "1"]]}, "den": {"terms": []}}]]},
+    )
     for argv in (
         ["torus", "mul", "--a", skein, "--b", skein],
         ["torus", "center-check", "--a", skein],
         ["decompose", ideal],
+        ["thread", "--m", "2", "--input", annulus],
+        ["groebner", ideal_zero],
+        ["torus", "center-check", "--a", torus_zero],
     ):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("error:"), argv

@@ -10,7 +10,6 @@ from skeinlab.diagrams import (
     bracket_annulus,
     bracket_disk,
     pushed_curve_with_cores,
-    torus_boundary_push,
 )
 from skeinlab.errors import DiagramError
 from skeinlab.oracle import state_sum
@@ -77,15 +76,15 @@ def test_meridian_encircled_core():
 
 
 def test_push_examples():
-    assert bracket_annulus(torus_boundary_push(1, 0), F) == AnnulusSkein.z_power(F, 1)
-    assert bracket_annulus(torus_boundary_push(0, 1), F) == AnnulusSkein.z_power(F, 0, DELTA)
-    d21 = torus_boundary_push(2, 1)
+    assert bracket_annulus(pushed_curve_with_cores(1, 0, 0), F) == AnnulusSkein.z_power(F, 1)
+    assert bracket_annulus(pushed_curve_with_cores(0, 1, 0), F) == AnnulusSkein.z_power(F, 0, DELTA)
+    d21 = pushed_curve_with_cores(2, 1, 0)
     assert len(d21.crossings) == 1
     assert bracket_annulus(d21, F) == state_sum(d21, F)
     with pytest.raises(DiagramError):
-        torus_boundary_push(2, 4)
+        pushed_curve_with_cores(2, 4, 0)
     with pytest.raises(DiagramError):
-        torus_boundary_push(0, 0)
+        pushed_curve_with_cores(0, 0, 0)
 
 
 @pytest.mark.parametrize("pqk", [(2, 1, 0), (3, 1, 0), (3, 2, 0), (1, 1, 1), (1, 2, 1), (2, -1, 1), (0, -1, 2)])
@@ -141,10 +140,10 @@ def test_disk_agrees_with_annulus_away_from_core():
 def test_bracket_at_root_of_unity():
     d = braid_closure([1, 1, 1], 2)
     z5 = ZetaField(5)
-    from skeinlab.coeffs import root_spec, specialize
+    from skeinlab.coeffs import specialize_scalar
 
     generic = bracket_disk(d, F)
-    assert bracket_disk(d, z5) == specialize(generic.num, root_spec(5))
+    assert bracket_disk(d, z5) == specialize_scalar(generic.num, z5)
 
 
 def test_diagram_json_round_trip():

@@ -1,12 +1,9 @@
 from fractions import Fraction
 
-import pytest
-
 from skeinlab.chebyshev import thread_annulus
 from skeinlab.coeffs import GenericQ, Rationals, ZetaField, root_spec
 from skeinlab.diagrams import AnnulusSkein
-from skeinlab.errors import DiagramError
-from skeinlab.solidtorus import ActionCache, act, action_matrix, diagram_columns
+from skeinlab.solidtorus import ActionCache, act, action_cache, diagram_columns
 from skeinlab.torus import TorusSkein, thread_torus, torus_mul
 
 F = GenericQ()
@@ -25,9 +22,9 @@ def curve(p, qq, field=F):
 
 
 def test_longitude_is_shift():
-    mat = action_matrix(1, 0, 5, F)
+    columns = action_cache(F).columns(1, 0, 5)
     for k in range(6):
-        assert mat.columns[k] == z(k + 1)
+        assert columns[k] == z(k + 1)
     assert act(curve(1, 0), z(2)) == z(3)
 
 
@@ -47,9 +44,9 @@ def test_meridian_on_low_degrees():
 def test_meridian_triangular_with_eigenvalue_diagonal():
     # checked, not assumed: the matrix is lower-triangular in powers of z and
     # the coefficient on z^k is -q^(2(k+1)) - q^(-2(k+1)), up to k = 8
-    mat = action_matrix(0, 1, 8, F)
+    columns = action_cache(F).columns(0, 1, 8)
     for k in range(9):
-        col = mat.columns[k]
+        col = columns[k]
         assert col.degree() == k
         assert col.coeffs[k] == -q(2 * (k + 1)) - q(-2 * (k + 1))
         assert all(d <= k and (k - d) % 2 == 0 for d in col.coeffs)
@@ -58,11 +55,6 @@ def test_meridian_triangular_with_eigenvalue_diagonal():
 def test_unit_acts_as_identity():
     v = AnnulusSkein(F, {0: q(2), 3: F.one()})
     assert act(TorusSkein.empty(F), v) == v
-
-
-def test_action_matrix_rejects_non_primitive():
-    with pytest.raises(DiagramError):
-        action_matrix(2, 4, 3, F)
 
 
 def test_non_primitive_label_uses_chebyshev():
@@ -123,15 +115,8 @@ def test_specialized_matrix_agrees_with_specialization():
     from skeinlab.coeffs import specialize_scalar
 
     z5 = ZetaField(5)
-    gen = action_matrix(1, 1, 4, F)
-    spec = action_matrix(1, 1, 4, z5)
-    for col_g, col_z in zip(gen.columns, spec.columns):
+    gen = action_cache(F).columns(1, 1, 4)[:5]
+    spec = action_cache(z5).columns(1, 1, 4)[:5]
+    for col_g, col_z in zip(gen, spec):
         mapped = {k: specialize_scalar(v, z5) for k, v in col_g.coeffs.items()}
         assert {k: v for k, v in mapped.items() if v} == col_z.coeffs
-
-
-def test_entries_shape():
-    mat = action_matrix(2, 1, 3, F)
-    rows = mat.entries()
-    assert len(rows) == 3 + 2 + 1
-    assert all(len(r) == 4 for r in rows)
