@@ -4,10 +4,15 @@ cyclotomic fields Q(zeta_n), and root-of-unity bookkeeping.
 Every scalar here is immutable and exact (arbitrary precision rationals, no
 floats). Equality is coefficient-wise on canonical forms:
 
-* ``LaurentPoly`` stores exponent -> nonzero Fraction,
+* ``LaurentPoly`` stores exponent -> nonzero coefficient,
 * ``RationalFunction`` is reduced with a monic denominator whose lowest
   exponent is zero,
 * ``CyclotomicScalar`` is always reduced mod the n-th cyclotomic polynomial.
+
+A coefficient of a ``LaurentPoly`` or ``CyclotomicScalar`` is an ``int``
+when it is integral and a ``Fraction`` otherwise, never a float. The skein
+computations stay in Z[q, q^-1] and Z[zeta_n], where ``int`` arithmetic is
+far cheaper than ``Fraction``.
 """
 
 from __future__ import annotations
@@ -20,8 +25,23 @@ from .errors import FourDividesOrderError, SkeinError
 from .upoly import frac_str
 
 
+def _canon(c):
+    """``c`` as an ``int`` when it is integral, as a ``Fraction`` otherwise."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _integral(terms):
+    """``terms`` with every integral ``Fraction`` value turned into an ``int``."""
+    if type(sum(terms.values())) is int:  # one Fraction value makes the sum a Fraction
+        return terms
+    return {e: _canon(c) for e, c in terms.items()}
+
+
 class LaurentPoly:
-    """Element of Z[q, q^-1] with rational coefficients: exponent -> coeff."""
+    """Element of Q[q, q^-1]: exponent -> nonzero int or Fraction coefficient."""
 
     __slots__ = ("terms",)
 
@@ -29,10 +49,10 @@ class LaurentPoly:
         t = {}
         if terms:
             for e, c in (terms.items() if isinstance(terms, dict) else terms):
-                c = Fraction(c)
+                c = _canon(c)
                 if c:
                     c0 = t.get(e)
-                    c = c if c0 is None else c0 + c
+                    c = c if c0 is None else _canon(c0 + c)
                     if c:
                         t[int(e)] = c
                     elif e in t:
@@ -49,11 +69,11 @@ class LaurentPoly:
 
     @classmethod
     def from_fraction(cls, c):
-        return cls({0: Fraction(c)})
+        return cls({0: c})
 
     @classmethod
     def q_power(cls, e, coeff=1):
-        return cls({int(e): Fraction(coeff)})
+        return cls({int(e): coeff})
 
     def __bool__(self):
         return bool(self.terms)
@@ -73,13 +93,13 @@ class LaurentPoly:
             other = LaurentPoly.from_fraction(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
+            s = out.get(e, 0) + c
             if s:
                 out[e] = s
             elif e in out:
                 del out[e]
         r = LaurentPoly.__new__(LaurentPoly)
-        r.terms = out
+        r.terms = _integral(out)
         return r
 
     __radd__ = __add__
@@ -99,23 +119,23 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+            c = _canon(other)
             if not c:
                 return LaurentPoly()
             r = LaurentPoly.__new__(LaurentPoly)
-            r.terms = {e: x * c for e, x in self.terms.items()}
+            r.terms = _integral({e: x * c for e, x in self.terms.items()})
             return r
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = e1 + e2
-                s = out.get(e, Fraction(0)) + c1 * c2
+                s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
                 elif e in out:
                     del out[e]
         r = LaurentPoly.__new__(LaurentPoly)
-        r.terms = out
+        r.terms = _integral(out)
         return r
 
     __rmul__ = __mul__
@@ -139,7 +159,7 @@ class LaurentPoly:
         if not self.terms:
             return [], 0
         lo = self.min_exp()
-        out = [Fraction(0)] * (self.max_exp() - lo + 1)
+        out = [0] * (self.max_exp() - lo + 1)
         for e, c in self.terms.items():
             out[e - lo] = c
         return out, lo
@@ -209,7 +229,7 @@ class RationalFunction:
             # a monomial denominator is a unit: no gcd to take
             ((ld, lead),) = den.terms.items()
             num = num.shifted(-ld)
-            return (num if lead == 1 else num * (1 / lead)), LaurentPoly.one()
+            return (num if lead == 1 else num * (1 / Fraction(lead))), LaurentPoly.one()
         pn, ln = num.as_poly()
         pd, ld = den.as_poly()
         g = upoly.gcd(pn, pd)
@@ -218,8 +238,9 @@ class RationalFunction:
             pd, _ = upoly.divmod(pd, g)
         lead = pd[-1]
         if lead != 1:
-            pn = [c / lead for c in pn]
-            pd = [c / lead for c in pd]
+            inv = 1 / Fraction(lead)
+            pn = [c * inv for c in pn]
+            pd = [c * inv for c in pd]
         # push the monomial mismatch into the numerator
         return LaurentPoly.from_poly(pn, ln - ld), LaurentPoly.from_poly(pd)
 
@@ -310,21 +331,21 @@ class RationalFunction:
 # ---------------------------------------------------------------------------
 # cyclotomic fields
 
-_CYCLO_CACHE: dict[int, tuple[int, list[Fraction], list[list[Fraction]]]] = {}
+_CYCLO_CACHE: dict[int, tuple[int, list[int], list[list[int]]]] = {}
 # (n, e mod n) -> zeta_n^e; scalars are immutable, so callers share them
 _ZETA_POWERS: dict[tuple[int, int], "CyclotomicScalar"] = {}
 
 
-def cyclotomic_polynomial(n: int) -> list[Fraction]:
-    """Ascending coefficients of Phi_n over Q."""
+def cyclotomic_polynomial(n: int) -> list[int]:
+    """Ascending coefficients of Phi_n, a monic polynomial over Z."""
     if n == 1:
-        return [Fraction(-1), Fraction(1)]
-    poly = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]  # q^n - 1
+        return [-1, 1]
+    poly = [-1] + [0] * (n - 1) + [1]  # q^n - 1
     for d in range(1, n):
         if n % d == 0:
             q, r = upoly.divmod(poly, cyclotomic_polynomial(d))
             assert not r
-            poly = q
+            poly = [_canon(c) for c in q]
     return poly
 
 
@@ -344,10 +365,10 @@ class CyclotomicScalar:
 
     def __init__(self, n, coeffs):
         deg, _, _ = _cyclo_data(n)
-        c = [Fraction(x) for x in coeffs]
+        c = [_canon(x) for x in coeffs]
         if len(c) > deg:
             raise ValueError("coefficient vector longer than phi(n)")
-        c += [Fraction(0)] * (deg - len(c))
+        c += [0] * (deg - len(c))
         self.n = n
         self.coeffs = tuple(c)
 
@@ -361,7 +382,7 @@ class CyclotomicScalar:
 
     @classmethod
     def from_fraction(cls, n, c):
-        return cls(n, [Fraction(c)])
+        return cls(n, [c])
 
     @classmethod
     def zeta_power(cls, n, e):
@@ -369,7 +390,7 @@ class CyclotomicScalar:
         value = _ZETA_POWERS.get(key)
         if value is None:
             _, phi_n, _ = _cyclo_data(n)
-            dense = [Fraction(0)] * key[1] + [Fraction(1)]
+            dense = [0] * key[1] + [1]
             _, r = upoly.divmod(dense, phi_n)
             value = _ZETA_POWERS[key] = cls(n, r)
         return value
@@ -412,11 +433,10 @@ class CyclotomicScalar:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return CyclotomicScalar(self.n, [a * c for a in self.coeffs])
+            return CyclotomicScalar(self.n, [a * other for a in self.coeffs])
         self._check(other)
         deg, _, rows = _cyclo_data(self.n)
-        prod = [Fraction(0)] * (2 * deg - 1)
+        prod = [0] * (2 * deg - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
@@ -455,7 +475,8 @@ class CyclotomicScalar:
         return upoly.power(self, k, CyclotomicScalar.one(self.n))
 
     def as_fraction(self):
-        """The rational value, when the element is rational; None otherwise."""
+        """The rational value (an ``int`` when integral, else a ``Fraction``)
+        when the element is rational; None otherwise."""
         if any(self.coeffs[1:]):
             return None
         return self.coeffs[0]

@@ -25,9 +25,8 @@ Results that disagree are returned flagged, never silently truncated.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
-from .coeffs import CoeffField, GenericQ, Rationals
+from .coeffs import CoeffField, GenericQ, LaurentPoly, Rationals
 from .diagrams import AnnulusSkein
 from .errors import SkeinError, StabilizationError
 from .solidtorus import act
@@ -107,9 +106,10 @@ class _PairEchelon:
     """Row space over basis pairs (i, j), pivoting on the largest pair.
 
     Over the generic field the rows hold Laurent polynomials and are
-    eliminated fraction-free (cross-multiplication plus content stripping);
-    rational-function division would swamp the computation with gcd work.
-    Other fields eliminate by ordinary division.
+    eliminated fraction-free over Z[q, q^-1]: cross-multiplication plus
+    stripping of the monomial and integer content, so every coefficient stays
+    an ``int``. Rational-function division would swamp the computation with
+    gcd work. Other fields eliminate by ordinary division.
     """
 
     def __init__(self, field):
@@ -118,28 +118,34 @@ class _PairEchelon:
         self.pivots = {}
 
     def _clear(self, row):
-        # the action never divides, so every entry is already Laurent
+        # the action never divides, so every entry is already Laurent; one
+        # multiple of the coefficient denominators makes the row integral
         out = {}
+        den = 1
         for k, v in row.items():
             if not v.is_laurent():
                 raise SkeinError(f"relation entry {v} is not a Laurent polynomial")
             if v.num:
                 out[k] = v.num
+                for c in v.num.terms.values():
+                    den = math.lcm(den, c.denominator)
+        if den != 1:
+            out = {k: v * den for k, v in out.items()}
         return out
 
     def _strip(self, row):
-        # monomial and rational content only; polynomial gcds cost more than
+        # monomial and integer content only; polynomial gcds cost more than
         # they save on these structured systems
         shift = min(v.min_exp() for v in row.values())
-        num_gcd = 0
-        den_lcm = 1
+        g = 0
         for v in row.values():
             for c in v.terms.values():
-                num_gcd = math.gcd(num_gcd, c.numerator)
-                den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        scale = Fraction(den_lcm, num_gcd or 1)
-        if shift or scale != 1:
-            row = {k: v.shifted(-shift) * scale for k, v in row.items()}
+                g = math.gcd(g, c)
+        if shift or g != 1:
+            row = {
+                k: LaurentPoly({e - shift: c // g for e, c in v.terms.items()})
+                for k, v in row.items()
+            }
         return row
 
     def insert(self, row: dict) -> bool:

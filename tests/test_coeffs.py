@@ -125,6 +125,64 @@ def test_rational_function_normal_form():
     assert r2.den.terms[max(r2.den.terms)] == 1
 
 
+def _assert_canonical(values):
+    # int when integral, Fraction otherwise, never a float
+    for c in values:
+        assert type(c) in (int, Fraction), c
+        assert (type(c) is int) == (Fraction(c).denominator == 1), c
+
+
+def test_rational_function_never_divides_into_floats():
+    r = RationalFunction(1, LaurentPoly({2: 3}))
+    assert r.num.terms == {-2: Fraction(1, 3)} and type(r.num.terms[-2]) is Fraction
+    r2 = RationalFunction(1, LaurentPoly({0: 1, 1: 2}))  # leading coefficient 2
+    assert r2.num.terms == {0: Fraction(1, 2)}
+    assert r2.den.terms == {0: Fraction(1, 2), 1: 1}
+    for x in (r, r2):
+        _assert_canonical([*x.num.terms.values(), *x.den.terms.values()])
+
+
+_coeff = st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+def _mixed_laurent():
+    return st.builds(LaurentPoly, st.lists(st.tuples(st.integers(-3, 3), _coeff), max_size=4))
+
+
+def _mixed_cyclo(n):
+    deg = len(cyclotomic_polynomial(n)) - 1
+    return st.builds(lambda cs: CyclotomicScalar(n, cs), st.lists(_coeff, min_size=deg, max_size=deg))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_mixed_laurent(), _mixed_laurent(), _coeff, st.integers(0, 3))
+def test_laurent_coefficients_stay_canonical(a, b, c, k):
+    for x in (a, b, a + b, a - b, a * b, a * c, c * b, a + c, b - c, a**k, (a - b) ** k):
+        _assert_canonical(x.terms.values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(_mixed_cyclo(5), _mixed_cyclo(5), _coeff, st.integers(0, 3))
+def test_cyclotomic_coefficients_stay_canonical(a, b, c, k):
+    for x in (a, b, a + b, a - b, a * b, a * c, a + c, a**k, (a - b) ** k):
+        _assert_canonical(x.coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-5, 5)), max_size=5), st.integers(1, 4))
+def test_int_and_fraction_inputs_give_the_same_value(terms, d):
+    as_int = LaurentPoly(terms)
+    as_frac = LaurentPoly([(e, Fraction(c)) for e, c in terms])
+    via_ops = LaurentPoly([(e, Fraction(c, d)) for e, c in terms]) * d
+    coeffs = [c for _, c in terms[:4]]
+    z_int = CyclotomicScalar(5, coeffs)
+    z_frac = CyclotomicScalar(5, [Fraction(c) for c in coeffs])
+    z_ops = CyclotomicScalar(5, [Fraction(c, d) for c in coeffs]) * d
+    for x, y in ((as_int, as_frac), (as_int, via_ops), (z_int, z_frac), (z_int, z_ops)):
+        assert x == y and hash(x) == hash(y) and x.to_json() == y.to_json()
+        assert repr(x) == repr(y)
+
+
 def test_field_tags_round_trip():
     for tag in ("generic", "rationals", "rationals(q=-1)", "zeta:5"):
         field = field_from_tag(tag)

@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from skeinlab import heegaard
 from skeinlab.coeffs import GenericQ, ZetaField
 from skeinlab.errors import SkeinError, StabilizationError
 from skeinlab.heegaard import GluingMatrix, dim_K_q, lens_module
@@ -79,3 +80,20 @@ def test_no_persistent_state(tmp_path, monkeypatch):
     rep = lens_module(3, 1, GenericQ())
     assert rep.stabilized and rep.dimension == 2
     assert os.listdir(tmp_path) == []
+
+
+def test_generic_elimination_keeps_int_coefficients(monkeypatch):
+    # the fraction-free elimination works over Z[q, q^-1]: no pivot entry
+    # may hold a Fraction coefficient
+    made = []
+
+    class Recording(heegaard._PairEchelon):
+        def __init__(self, field):
+            super().__init__(field)
+            made.append(self)
+
+    monkeypatch.setattr(heegaard, "_PairEchelon", Recording)
+    rep = lens_module(3, 1, GenericQ())
+    assert rep.dimension == 2 and len(made) == 3
+    coeffs = [c for ech in made for piv in ech.pivots.values() for v in piv.values() for c in v.terms.values()]
+    assert coeffs and all(type(c) is int for c in coeffs)
