@@ -290,7 +290,6 @@ def char_ring(group: GroupPresentation) -> CharRingReport:
         flags = [False] * len(factors)  # abelian image: every character reducible
     else:
         kappa = ring.normal_form(commutator_trace() - 2)
-        tables = ring.mult_tables()
         for f in factors:
             sub = _mult_matrix_on_block(ring, kappa, f.basis)
             flags.append(invert(sub) is not None)

@@ -89,7 +89,7 @@ class LaurentPoly:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not LaurentPoly and isinstance(other, (int, Fraction)):
             other = LaurentPoly.from_fraction(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
@@ -110,7 +110,7 @@ class LaurentPoly:
         return r
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not LaurentPoly and isinstance(other, (int, Fraction)):
             other = LaurentPoly.from_fraction(other)
         return self + (-other)
 
@@ -118,7 +118,7 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not LaurentPoly and isinstance(other, (int, Fraction)):
             c = _canon(other)
             if not c:
                 return LaurentPoly()
@@ -413,7 +413,7 @@ class CyclotomicScalar:
         return hash((self.n, self.coeffs))
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not CyclotomicScalar and isinstance(other, (int, Fraction)):
             other = CyclotomicScalar.from_fraction(self.n, other)
         self._check(other)
         return CyclotomicScalar(self.n, [a + b for a, b in zip(self.coeffs, other.coeffs)])
@@ -424,7 +424,7 @@ class CyclotomicScalar:
         return CyclotomicScalar(self.n, [-a for a in self.coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not CyclotomicScalar and isinstance(other, (int, Fraction)):
             other = CyclotomicScalar.from_fraction(self.n, other)
         return self + (-other)
 
@@ -432,7 +432,7 @@ class CyclotomicScalar:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not CyclotomicScalar and isinstance(other, (int, Fraction)):
             return CyclotomicScalar(self.n, [a * other for a in self.coeffs])
         self._check(other)
         deg, _, rows = _cyclo_data(self.n)

@@ -1,16 +1,23 @@
 """Buchberger's algorithm, reduced Groebner bases, and zero-dimensional
 quotient rings with multiplication tables.
 
-Plain Buchberger with the sugar selection strategy and the coprime-lcm
-criterion; inputs here are tiny, so exactness beats cleverness. Normal forms
-against a reduced basis are canonical, which makes quotient-ring equality
-coefficient-wise.
+Buchberger's algorithm with the sugar selection strategy: the critical pairs
+wait in a heap keyed by (sugar, lcm), each basis element's leading term,
+leading coefficient and sugar are computed once, and the Gebauer-Moeller
+update (criterion B on the old pairs, M and F on the new ones, then the
+coprime-lcm product criterion; J. Symb. Comp. 6, 1988) discards pairs before
+they are reduced. Normal forms keep their pending terms in a dict with a heap
+of monomials. Coefficients stay exact (int or Fraction, never float). Normal
+forms against a reduced basis are canonical, which makes quotient-ring
+equality coefficient-wise.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as iter_product
+from heapq import heapify, heappop, heappush
+from itertools import chain, count, product as iter_product
+from operator import neg
 
 from .errors import SkeinError
 from .multipoly import (
@@ -49,33 +56,50 @@ class PolyIdeal:
 
 
 def _reduce(poly, basis, key):
-    """Full normal form of poly against basis (leading terms precomputed)."""
-    remainder = MultiPoly(poly.vars)
-    work = poly
-    while work:
-        e, c = work.leading(key)
-        hit = None
+    """Full normal form of poly against basis, an iterable of (lead monomial,
+    lead coefficient, element) triples with Fraction lead coefficients.
+
+    The terms still to reduce sit in a dict, and their monomials in a heap
+    that pops the largest first: every order key is linear in the exponents,
+    so key(-e) = -key(e). A cancelled term stays in the dict as 0, so each
+    monomial has one heap entry. A reduction step costs the size of the
+    reducer."""
+    work = dict(poly.terms)
+    heap = [(key(tuple(map(neg, e))), e) for e in work]
+    heapify(heap)
+    remainder = {}
+    while heap:
+        e = heappop(heap)[1]
+        c = work.pop(e)
+        if not c:
+            continue
         for lt, lc, g in basis:
             if monomial_divides(lt, e):
-                hit = (lt, lc, g)
+                f = c / lc
+                shift = monomial_div(e, lt)
+                for ge, gc in g.terms.items():
+                    if ge != lt:
+                        m = monomial_mul(ge, shift)
+                        old = work.get(m)
+                        if old is None:
+                            work[m] = -f * gc
+                            heappush(heap, (key(tuple(map(neg, m))), m))
+                        else:
+                            work[m] = old - f * gc
                 break
-        if hit is None:
-            t = MultiPoly(poly.vars, {e: c})
-            remainder = remainder + t
-            work = work - t
         else:
-            lt, lc, g = hit
-            factor = MultiPoly(poly.vars, {monomial_div(e, lt): c / lc})
-            work = work - factor * g
-    return remainder
+            remainder[e] = c
+    r = MultiPoly(poly.vars)
+    r.terms = remainder
+    return r
 
 
 def _s_poly(f, g, key):
     ef, cf = f.leading(key)
     eg, cg = g.leading(key)
     l = monomial_lcm(ef, eg)
-    mf = MultiPoly(f.vars, {monomial_div(l, ef): 1 / cf})
-    mg = MultiPoly(g.vars, {monomial_div(l, eg): 1 / cg})
+    mf = MultiPoly(f.vars, {monomial_div(l, ef): 1 / Fraction(cf)})
+    mg = MultiPoly(g.vars, {monomial_div(l, eg): 1 / Fraction(cg)})
     return mf * f - mg * g
 
 
@@ -90,12 +114,12 @@ class QuotientRing:
         self.order = order
         self._key = ORDERS[order]
         self.groebner = tuple(groebner)
-        self._lead = tuple(g.leading(self._key) for g in self.groebner)
+        leads = (g.leading(self._key) for g in self.groebner)
+        self._lead = tuple((lt, Fraction(lc), g) for (lt, lc), g in zip(leads, self.groebner))
         self.standard_monomials = self._staircase()
 
     def normal_form(self, poly: MultiPoly) -> MultiPoly:
-        basis = [(lt, lc, g) for (lt, lc), g in zip(self._lead, self.groebner)]
-        return _reduce(poly, basis, self._key)
+        return _reduce(poly, self._lead, self._key)
 
     def contains(self, poly: MultiPoly) -> bool:
         return not self.normal_form(poly)
@@ -103,9 +127,9 @@ class QuotientRing:
     def _staircase(self):
         """Standard monomials when finite, else None."""
         n = len(self.vars)
-        if any((lc == 0) for (_, lc) in self._lead):  # pragma: no cover
+        if any((lc == 0) for (_, lc, _) in self._lead):  # pragma: no cover
             raise SkeinError("zero leading coefficient")
-        leads = [lt for lt, _ in self._lead]
+        leads = [lt for lt, _, _ in self._lead]
         if not leads:
             return None  # zero ideal: infinite for n >= 1
         # finite iff some pure power of each variable appears among the leads
@@ -168,64 +192,61 @@ class QuotientRing:
 
 
 def buchberger(ideal: PolyIdeal, order: str = "degrevlex") -> QuotientRing:
-    """Reduced Groebner basis via Buchberger with sugar selection."""
+    """Reduced Groebner basis via Buchberger with sugar selection and the
+    Gebauer-Moeller criteria."""
     key = ORDERS[order]
-    basis = []
-    for g in ideal.generators:
-        if g:
-            e, c = g.leading(key)
-            basis.append(g.scale(1 / c))
-    if not basis:
-        return QuotientRing(ideal.vars, order, ())
+    elems = []  # (lead monomial, lead coefficient, element) of every element added
+    sugars = []
+    live = {}  # index -> elems entry, for the elements whose lead no later lead divides
+    pairs = []  # heap of (sugar, key(lcm), insertion counter, lcm, i, j)
+    counter = count()
 
-    def sugar(f):
-        return f.total_degree()
-
-    pairs = []
-    for i in range(len(basis)):
-        for j in range(i):
-            pairs.append((i, j))
-
-    def pair_key(ij):
-        i, j = ij
-        ei, _ = basis[i].leading(key)
-        ej, _ = basis[j].leading(key)
-        l = monomial_lcm(ei, ej)
-        return (sum(l) + max(sugar(basis[i]), sugar(basis[j])), key(l))
-
-    while pairs:
-        pairs.sort(key=pair_key)
-        i, j = pairs.pop(0)
-        ei, _ = basis[i].leading(key)
-        ej, _ = basis[j].leading(key)
-        if monomial_lcm(ei, ej) == monomial_mul(ei, ej):
-            continue  # coprime leading monomials reduce to zero
-        lead_triples = [(g.leading(key)[0], g.leading(key)[1], g) for g in basis]
-        s = _reduce(_s_poly(basis[i], basis[j], key), lead_triples, key)
-        if s:
-            e, c = s.leading(key)
-            s = s.scale(1 / c)
-            basis.append(s)
-            for t in range(len(basis) - 1):
-                pairs.append((len(basis) - 1, t))
-
-    # minimalize: drop elements whose lead is divisible by another lead
-    basis.sort(key=lambda g: key(g.leading(key)[0]))
-    minimal = []
-    for g in basis:
-        e, _ = g.leading(key)
-        if not any(monomial_divides(h.leading(key)[0], e) for h in minimal):
-            minimal.append(g)
-    # reduce tails
-    reduced = []
-    for idx, g in enumerate(minimal):
-        others = [
-            (h.leading(key)[0], h.leading(key)[1], h)
-            for t, h in enumerate(minimal)
-            if t != idx
+    def insert(h, sugar):
+        # every element added stays a reducer, oldest first: reducing by the
+        # low-sugar elements that a later lead made redundant keeps the
+        # intermediate coefficients small
+        h = _reduce(h, elems, key)
+        if not h:
+            return
+        t, c = h.leading(key)
+        h = h.scale(1 / Fraction(c))
+        new = len(elems)
+        elems.append((t, h.terms[t], h))
+        sugars.append(max(sugar, h.total_degree()))
+        # criterion B: t divides the lcm of an old pair and differs from both
+        # of its lcms with the pair's elements
+        pairs[:] = [
+            p for p in pairs
+            if not monomial_divides(t, p[3])
+            or monomial_lcm(t, elems[p[4]][0]) == p[3]
+            or monomial_lcm(t, elems[p[5]][0]) == p[3]
         ]
-        r = _reduce(g, others, key)
-        e, c = r.leading(key)
-        reduced.append(r.scale(1 / c))
-    reduced.sort(key=lambda g: key(g.leading(key)[0]))
+        heapify(pairs)
+        # criteria M and F: of the new pairs, keep those whose lcm no other
+        # new lcm divides (one of each equal lcm); coprime ones stay long
+        # enough to rule out others, then the product criterion drops them
+        fresh = [(monomial_lcm(t, lt), k) for k, (lt, _, _) in live.items()]
+        kept = []
+        while fresh:
+            l, k = fresh.pop()
+            coprime = l == monomial_mul(t, elems[k][0])
+            if coprime or not any(monomial_divides(p[0], l) for p in chain(fresh, kept)):
+                kept.append((l, k, coprime))
+        for l, k, coprime in kept:
+            if not coprime:
+                s = sum(l) + max(sugars[new] - sum(t), sugars[k] - sum(elems[k][0]))
+                heappush(pairs, (s, key(l), next(counter), l, new, k))
+        for k in [k for k, (lt, _, _) in live.items() if monomial_divides(t, lt)]:
+            del live[k]
+        live[new] = elems[new]
+
+    for g in ideal.generators:
+        insert(g, g.total_degree())
+    while pairs:
+        sugar, *_, i, j = heappop(pairs)
+        insert(_s_poly(elems[i][2], elems[j][2], key), sugar)
+
+    # live is minimal (no lead divides another) and monic; reduce the tails
+    basis = sorted(live.values(), key=lambda e: key(e[0]))
+    reduced = [_reduce(g, basis[:i] + basis[i + 1:], key) for i, (_, _, g) in enumerate(basis)]
     return QuotientRing(ideal.vars, order, reduced)

@@ -8,6 +8,7 @@ sort key, largest key = leading term.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, le, sub
 
 from .errors import SkeinError
 from .upoly import frac_str, power
@@ -25,19 +26,19 @@ ORDERS = {"lex": lex_key, "degrevlex": degrevlex_key}
 
 
 def monomial_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def monomial_divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def monomial_div(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def monomial_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 class MultiPoly:
@@ -96,7 +97,7 @@ class MultiPoly:
         return hash((self.vars, frozenset(self.terms.items())))
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not MultiPoly and isinstance(other, (int, Fraction)):
             other = MultiPoly.constant(self.vars, other)
         self._check(other)
         out = dict(self.terms)
@@ -119,7 +120,7 @@ class MultiPoly:
         return r
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not MultiPoly and isinstance(other, (int, Fraction)):
             other = MultiPoly.constant(self.vars, other)
         return self + (-other)
 
@@ -127,7 +128,7 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not MultiPoly and isinstance(other, (int, Fraction)):
             if not other:
                 return MultiPoly(self.vars)
             r = MultiPoly(self.vars)
