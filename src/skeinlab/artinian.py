@@ -4,19 +4,17 @@ presented modules.
 
 A finite-dimensional commutative Q-algebra splits as a product of local
 factors. The splitting is computed by factoring minimal polynomials of
-multiplication operators (single variables first, then separating linear
-combinations) and cutting along kernels of the prime-power factors. Factors
-are Q-local: a cluster of Galois-conjugate points is one factor and is never
-split heuristically; its ``point_count`` is the residue-field degree and
-``multiplicity`` the full Q-dimension of the factor, so multiplicities add
-up to the quotient dimension.
+multiplication operators over Q with ``upoly.factor`` (single variables
+first, then separating linear combinations) and cutting along kernels of the
+prime-power factors. Factors are Q-local: a cluster of Galois-conjugate
+points is one factor and is never split heuristically; its ``point_count``
+is the residue-field degree and ``multiplicity`` the full Q-dimension of the
+factor, so multiplicities add up to the quotient dimension.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-import sympy
 
 from . import upoly
 from .errors import SkeinError
@@ -33,25 +31,6 @@ from .linalg import (
     solve,
 )
 from .multipoly import MultiPoly
-
-
-def factor_rational_poly(coeffs):
-    """Irreducible monic factors over Q of a univariate polynomial.
-
-    coeffs ascending; returns list of (ascending_coeffs, exponent).
-    """
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(
-        [sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)], x, domain="QQ"
-    )
-    _, factors = poly.factor_list()
-    out = []
-    for f, e in factors:
-        fc = [Fraction(c.p, c.q) for c in reversed(f.all_coeffs())]
-        lead = fc[-1]
-        fc = [c / lead for c in fc]
-        out.append((fc, e))
-    return out
 
 
 def _poly_of_matrix(coeffs, mat):
@@ -156,7 +135,7 @@ def artinian_decompose(ring: QuotientRing):
         for basis_rows in blocks:
             sub = _restrict(op_matrix, basis_rows)
             mp = _block_minpoly(sub)
-            factors = factor_rational_poly(mp)
+            factors = upoly.factor(mp)
             if len(factors) == 1:
                 out.append(basis_rows)
                 continue
@@ -212,7 +191,7 @@ def artinian_decompose(ring: QuotientRing):
         for v in ring.vars:
             sub = _restrict(tables[v], basis_rows)
             mp = _block_minpoly(sub)
-            facs = factor_rational_poly(mp)
+            facs = upoly.factor(mp)
             assert len(facs) == 1
             point[v] = tuple(facs[0][0])
         # idempotent: component of 1 in this block along the others
@@ -292,7 +271,7 @@ def _residue_data(ring, tables, basis_rows):
                 for ra, rb in zip(combo, subs[v])
             ]
         mp = _block_minpoly(combo)
-        facs = factor_rational_poly(mp)
+        facs = upoly.factor(mp)
         if len(facs) == 1:
             fc, e = facs[0]
             if len(fc) - 1 == res_dim:

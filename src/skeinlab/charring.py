@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .artinian import artinian_decompose, _restrict
 from .errors import SkeinError
-from .groebner import PolyIdeal, QuotientRing, buchberger
+from .groebner import PolyIdeal, buchberger
 from .linalg import invert
 from .multipoly import MultiPoly
 
@@ -285,20 +285,12 @@ def char_ring(group: GroupPresentation) -> CharRingReport:
     if dim is None:
         return CharRingReport(group, ideal, ring, None, (), ())
     factors = artinian_decompose(ring)
-    flags = []
     if group.ngens == 1:
         flags = [False] * len(factors)  # abelian image: every character reducible
     else:
-        kappa = ring.normal_form(commutator_trace() - 2)
-        for f in factors:
-            sub = _mult_matrix_on_block(ring, kappa, f.basis)
-            flags.append(invert(sub) is not None)
+        kappa = ring.mult_matrix(ring.normal_form(commutator_trace() - 2))
+        flags = [invert(_restrict(kappa, f.basis)) is not None for f in factors]
     return CharRingReport(group, ideal, ring, dim, tuple(factors), tuple(flags))
-
-
-def _mult_matrix_on_block(ring: QuotientRing, poly: MultiPoly, basis_rows):
-    mat = ring.mult_matrix(poly)
-    return _restrict(mat, basis_rows)
 
 
 def trivial_character_eval(component_count: int) -> int:

@@ -244,10 +244,6 @@ class RationalFunction:
         # push the monomial mismatch into the numerator
         return LaurentPoly.from_poly(pn, ln - ld), LaurentPoly.from_poly(pd)
 
-    @classmethod
-    def from_laurent(cls, p):
-        return cls(p)
-
     def is_laurent(self):
         return self.den == LaurentPoly.one()
 

@@ -54,7 +54,10 @@ class GluingMatrix:
         if math.gcd(p, q) != 1:
             raise SkeinError("lens parameters must be coprime")
         g, x, y = _ext_gcd(p, q)
-        assert g == 1
+        if g == -1:  # a negative q can leave the gcd's sign negative
+            g, x, y = 1, -x, -y
+        if g != 1:
+            raise SkeinError(f"extended gcd of ({p}, {q}) gave {g}, not 1")
         # p*s - q*r = 1 with (r, s) = (-y, x)
         return cls((p, q), (-y, x))
 

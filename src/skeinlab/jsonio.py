@@ -17,10 +17,6 @@ def canonical_dumps(data) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
-def content_hash(data) -> str:
-    return hashlib.sha256(canonical_dumps(data).encode()).hexdigest()
-
-
 def file_hash(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:

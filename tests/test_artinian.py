@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from skeinlab import upoly
 from skeinlab.artinian import (
     PresentedModule,
     artinian_decompose,
-    factor_rational_poly,
     local_multiplicity,
     specialize_vs_localize,
 )
@@ -157,14 +157,9 @@ def test_specialize_vs_localize_random_modules():
 
 
 def test_factor_rational_poly():
-    # (x^2-2)(x-1)^2
-    coeffs = [Fraction(c) for c in (-2, 4, 1, -2, 0)]  # -2 +4x +x^2 -2x^3 +0x^4...
-    poly = [Fraction(-2), Fraction(4), Fraction(1), Fraction(-2), Fraction(1)]
-    # build honestly: (x^2-2)*(x-1)^2 = (x^2-2)*(x^2-2x+1)
-    from skeinlab import upoly
-
+    # (x^2-2)(x-1)^2 = (x^2-2)*(x^2-2x+1)
     built = upoly.mul([Fraction(-2), Fraction(0), Fraction(1)], [Fraction(1), Fraction(-2), Fraction(1)])
-    facs = factor_rational_poly(built)
+    facs = upoly.factor(built)
     normalized = sorted((tuple(f), e) for f, e in facs)
     assert ((Fraction(-2), Fraction(0), Fraction(1)), 1) in normalized
     assert ((Fraction(-1), Fraction(1)), 2) in normalized

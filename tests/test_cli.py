@@ -1,6 +1,9 @@
 import json
 import os
+import subprocess
+import sys
 
+import skeinlab
 from skeinlab.cli import main
 from skeinlab.coeffs import GenericQ
 from skeinlab.torus import TorusSkein
@@ -66,6 +69,25 @@ def test_lens_cli_s3(tmp_path, capsys):
     with open(out_path) as fh:
         report = json.load(fh)
     assert report["dimension"] == 1 and report["stabilized"] is True
+
+
+def test_lens_cli_negative_q(tmp_path, capsys):
+    # L(3,-1) is L(3,1) with the orientation reversed: the same dimension
+    out_path = str(tmp_path / "l3m1.json")
+    assert main(["lens", "--p", "3", "--q", "-1", "--out", out_path]) == 0
+    with open(out_path) as fh:
+        assert json.load(fh)["dimension"] == 2
+    # the gcd check is not an assert, so python -O keeps it
+    src = os.path.dirname(os.path.dirname(skeinlab.__file__))
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "skeinlab.cli", "lens", "--p", "3", "--q", "-1"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout[done.stdout.index("{"):])["dimension"] == 2
 
 
 def test_lens_cli_deterministic(tmp_path):

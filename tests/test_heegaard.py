@@ -1,3 +1,4 @@
+import math
 import os
 
 import pytest
@@ -19,6 +20,16 @@ def test_gluing_matrix_validation():
     p, q = g.meridian
     r, s = g.longitude
     assert (p, q) == (5, 1) and p * s - q * r == 1
+
+
+def test_lens_gluing_has_determinant_one_for_every_sign_of_q():
+    for p in range(1, 9):
+        for q in range(-2 * p, 2 * p + 1):
+            if math.gcd(p, q) != 1:
+                continue
+            g = GluingMatrix.lens(p, q)
+            (a, b), (r, s) = g.meridian, g.longitude
+            assert (a, b) == (p, q) and a * s - b * r == 1, (p, q)
 
 
 def test_s3_dimension_one_everywhere():

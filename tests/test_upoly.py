@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from skeinlab import upoly
@@ -79,3 +80,76 @@ def test_power_rejects_negative_exponents_of_rings():
     q = RationalFunction(LaurentPoly.q_power(1))
     assert q**-2 == RationalFunction(LaurentPoly.q_power(-2))
     assert CyclotomicScalar.zeta_power(5, 1) ** -1 == CyclotomicScalar.zeta_power(5, 4)
+
+
+def _sympy_factor(coeffs):
+    """The oracle: sympy's factor_list over QQ, each factor made monic."""
+    x = sympy.Symbol("x")
+    poly = sympy.Poly([sympy.Rational(str(Fraction(c))) for c in reversed(coeffs)], x, domain="QQ")
+    out = []
+    for f, e in poly.factor_list()[1]:
+        fc = [Fraction(int(c.p), int(c.q)) for c in reversed(f.all_coeffs())]
+        out.append(([c / fc[-1] for c in fc], e))
+    return out
+
+
+def _assert_factor_matches_sympy(coeffs):
+    got = upoly.factor(coeffs)
+    assert got == _sympy_factor(coeffs)
+    assert all(type(c) is Fraction for g, _ in got for c in g)
+    product = [1]
+    for g, e in got:
+        for _ in range(e):
+            product = upoly.mul(product, g)
+    assert product == (_monic(coeffs) if len(coeffs) > 1 else [1])
+
+
+_small_int_poly = st.lists(st.integers(-5, 5), min_size=2, max_size=4).map(upoly.trim).filter(
+    lambda p: len(p) > 1
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.fractions(min_value=-7, max_value=7, max_denominator=9).filter(bool),
+    st.lists(st.tuples(_small_int_poly, st.integers(1, 3)), max_size=4),
+)
+def test_factor_matches_sympy_on_products_with_repeated_factors(scale, parts):
+    f = [scale]
+    for g, e in parts:
+        for _ in range(e):
+            f = upoly.mul(f, g)
+    _assert_factor_matches_sympy(f)
+
+
+def _two_cos_minpoly(p):
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(sympy.minimal_polynomial(2 * sympy.cos(2 * sympy.pi / p), x), x)
+    return [int(c) for c in reversed(poly.all_coeffs())]
+
+
+_SWINNERTON_DYER_8 = [576, 0, -960, 0, 352, 0, -40, 0, 1]  # roots +-sqrt2 +-sqrt3 +-sqrt5
+
+
+@pytest.mark.parametrize("p", range(1, 31))
+def test_factor_matches_sympy_on_two_cos_minimal_polynomials(p):
+    m = _two_cos_minpoly(p)
+    _assert_factor_matches_sympy(m)
+    assert upoly.factor(m) == [(_monic(m), 1)]
+    # with a repeated rational factor, a square and a conjugate factor
+    _assert_factor_matches_sympy(upoly.mul(upoly.mul(m, m), [Fraction(-1, 2), 3, Fraction(5, 3)]))
+    _assert_factor_matches_sympy(upoly.mul(m, _two_cos_minpoly(p + 1)))
+
+
+def test_factor_swinnerton_dyer_polynomial_is_irreducible():
+    # it splits into linear and quadratic factors modulo every prime, so
+    # recombination has to try subsets of every size
+    _assert_factor_matches_sympy(_SWINNERTON_DYER_8)
+    assert upoly.factor(_SWINNERTON_DYER_8) == [(_monic(_SWINNERTON_DYER_8), 1)]
+    _assert_factor_matches_sympy(upoly.mul(_SWINNERTON_DYER_8, [-6, 0, 1, 0, 1]))
+
+
+def test_factor_of_constants_and_zero_is_empty():
+    assert upoly.factor([]) == []
+    assert upoly.factor([Fraction(3, 2)]) == []
+    assert upoly.factor([0, 0, 5]) == [([Fraction(0), Fraction(1)], 2)]
