@@ -8,8 +8,9 @@ return new lists and leave their arguments alone; only ``trim`` works in
 place.
 
 ``factor`` splits a polynomial into irreducible factors over Q: Yun's
-square-free decomposition, then Zassenhaus's method over Z (Berlekamp
-modulo a small prime, Hensel lifting, recombination by trial division).
+square-free decomposition with ``gcd``/``divmod``, then Zassenhaus's method
+over Z (Berlekamp modulo a small prime, Hensel lifting, recombination by
+trial division).
 The private ``_*_mod`` helpers work on integer coefficients modulo ``m``.
 """
 
@@ -181,41 +182,22 @@ def _primitive(c):
 
 
 def _square_free(f):
-    """Yun's decomposition of f, deg f > 0, over Z: [(square-free primitive
-    part with positive lead, exponent)]. Every division is exact over Z,
-    because the divisors are primitive (Gauss's lemma)."""
-    f = _primitive(f)
+    """Yun's decomposition of f, deg f > 0: [(square-free primitive integer
+    part with positive lead, exponent)]."""
     df = _derivative(f)
-    a = _gcd_z(f, df)
-    b = _exact_quotient(f, a)
-    d = _sub(_exact_quotient(df, a), _derivative(b))
+    a = gcd(f, df)
+    b = divmod(f, a)[0]
+    d = _sub(divmod(df, a)[0], _derivative(b))
     out = []
     i = 1
     while len(b) > 1:
-        a = _gcd_z(b, d)
+        a = gcd(b, d)
         if len(a) > 1:
-            out.append((a, i))
-        b = _exact_quotient(b, a)
-        d = _sub(_exact_quotient(d, a), _derivative(b))
+            out.append((_primitive(a), i))
+        b = divmod(b, a)[0]
+        d = _sub(divmod(d, a)[0], _derivative(b))
         i += 1
     return out
-
-
-def _gcd_z(a, b):
-    """Primitive gcd with positive lead over Z, by primitive remainder
-    sequences; a must be nonzero."""
-    a = _primitive(a)
-    while b:
-        b = _primitive(b)
-        r = list(a)
-        while len(r) >= len(b):
-            top, deg = r[-1], len(r) - len(b)
-            r = [x * b[-1] for x in r]
-            for i, y in enumerate(b):
-                r[deg + i] -= top * y
-            trim(r)
-        a, b = b, r
-    return a
 
 
 def _zassenhaus(f):
