@@ -172,13 +172,15 @@ def criterion_6_action_cross_validation():
     )
 
 
-_LENS_DIMS: dict[int, int] = {}
+_LENS_DIMS: dict[tuple[int, int], int] = {}
+# L(p,1) for p = 2..8, and two lens spaces with q != 1
+_LENS_ANCHORS = [(p, 1) for p in range(2, 9)] + [(5, 2), (7, 3)]
 
 
-def _lens_dim(p):
-    if p not in _LENS_DIMS:
-        _LENS_DIMS[p] = dim_K_q(p, 1)
-    return _LENS_DIMS[p]
+def _lens_dim(p, q):
+    if (p, q) not in _LENS_DIMS:
+        _LENS_DIMS[(p, q)] = dim_K_q(p, q)
+    return _LENS_DIMS[(p, q)]
 
 
 def criterion_7_lens_anchors():
@@ -187,23 +189,21 @@ def criterion_7_lens_anchors():
         if not (rep.stabilized and rep.dimension == 1):
             return False, f"S^3 over {field.tag}: {rep!r}"
     dims = {}
-    for p in range(2, 9):
-        d = _lens_dim(p)
-        dims[p] = d
+    for p, q in _LENS_ANCHORS:
+        d = _lens_dim(p, q)
+        dims[f"L({p},{q})"] = d
         if d != p // 2 + 1:
-            return False, f"L({p},1) gave {d}, expected {p // 2 + 1}"
-    return True, f"S^3 = 1 in 7 fields; L(p,1) dims {dims}"
+            return False, f"L({p},{q}) gave {d}, expected {p // 2 + 1}"
+    return True, f"S^3 = 1 in 7 fields; dims {dims}"
 
 
 def criterion_8_rational_cross_check():
-    rows = []
-    for p in range(2, 9):
-        lens_dim = _lens_dim(p)
+    for p, q in _LENS_ANCHORS:
+        lens_dim = _lens_dim(p, q)
         ring_dim = char_ring(GroupPresentation.cyclic(p)).total_dim
-        rows.append((p, lens_dim, ring_dim))
         if lens_dim != ring_dim:
-            return False, f"p={p}: lens {lens_dim} vs character ring {ring_dim}"
-    return True, "dim K_q(L(p,1)) = dim of the Z/p character ring, p = 2..8"
+            return False, f"L({p},{q}): lens {lens_dim} vs character ring {ring_dim}"
+    return True, "dim K_q(L(p,q)) = dim of the Z/p character ring, L(p,1) for p = 2..8, L(5,2), L(7,3)"
 
 
 def criterion_9_trace_oracle():

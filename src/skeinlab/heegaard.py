@@ -20,10 +20,16 @@ Stabilization is a heuristic: a report is flagged stable when the windows
 N, N+1 and N+2 give the same dimension. Agreement on three windows does not
 prove that larger windows agree; it is what the rule checks, nothing more.
 Results that disagree are returned flagged, never silently truncated.
+
+The windows are nested: the relation rows of window N are among those of
+N+1. So there is one elimination, which grows window by window and inserts
+only the rows a window adds (``_windows``); ``dim_K_q`` walks the same pass
+until three windows agree.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .coeffs import CoeffField, GenericQ, LaurentPoly, Rationals
@@ -152,6 +158,9 @@ class _PairEchelon:
         return row
 
     def insert(self, row: dict) -> bool:
+        """Reduce ``row`` and store what is left as a new pivot row; False if
+        it reduced to zero. A stored pivot row is only read, never changed:
+        ``copy`` relies on that."""
         if self.fraction_free:
             row = self._clear(row)
             while row:
@@ -203,6 +212,14 @@ class _PairEchelon:
     def rank(self):
         return len(self.pivots)
 
+    def copy(self):
+        """An echelon with the same rows; inserting into either leaves the other
+        as it was. Sharing the pivot rows is safe because ``insert`` only ever
+        adds a pivot row and never changes one it has stored."""
+        other = type(self)(self.field)
+        other.pivots = dict(self.pivots)
+        return other
+
 
 def _generator_pairs(gluing: GluingMatrix, field: CoeffField):
     """(H-label, B-label) generator pairs for the middle-linearity relations."""
@@ -227,16 +244,24 @@ def _generator_pairs(gluing: GluingMatrix, field: CoeffField):
     return pairs
 
 
-def _truncated_dim(gluing: GluingMatrix, field: CoeffField, bound: int):
-    """Dimension of the image of the (bound x bound) window in the padded
-    truncated quotient.
+def _windows(gluing: GluingMatrix, field: CoeffField, start: int):
+    """Yield ``(M, dim, basis)`` for the windows M = start, start+1, ...
 
+    ``dim`` is the dimension of the image of the (M x M) window in the padded
+    truncated quotient and ``basis`` lists its surviving classes z_H^i (x) z_B^j.
     Relations are assembled on a window enlarged by the maximal degree growth
-    of the generators, then each window class z_H^i (x) z_B^j is reduced
-    against them. Working on the padded window matters: a class at the very
-    corner of a bare truncation keeps none of its relations and would survive
-    as a stable artifact; every relation touching the inner window fits
-    inside the padded one, so the image dimension is honest.
+    of the generators, then each window class is reduced against them.
+    Working on the padded window matters: a class at the very corner of a
+    bare truncation keeps none of its relations and would survive as a stable
+    artifact; every relation touching the inner window fits inside the padded
+    one, so the image dimension is honest.
+
+    A relation row is keyed by (generator, i, j), its content does not depend
+    on the window, and a row that fits one padded window fits every larger
+    one. So one echelon of relation rows serves every window: window M inserts
+    only the rows that first fit M + growth and tests its classes on a copy.
+    Whether a class survives depends on the row space alone, not on the order
+    the rows went in, so each window gets the answer of its own elimination.
     """
     gens = _generator_pairs(gluing, field)
     growth = max(
@@ -244,54 +269,49 @@ def _truncated_dim(gluing: GluingMatrix, field: CoeffField, bound: int):
         + [abs(g_h[0]) for g_h, _ in gens]
         + [abs(g_b[0]) for _, g_b in gens]
     )
-    padded = bound + growth
+    skeins = [(TorusSkein.curve(field, *g_h), TorusSkein.curve(field, *g_b)) for g_h, g_b in gens]
+    acted = [([], []) for _ in gens]  # per generator: act on z^0, z^1, ... on each side
     ech = _PairEchelon(field)
-    acted_h = {}
-    acted_b = {}
-    for g_h, g_b in gens:
-        skein_h = TorusSkein.curve(field, *g_h)
-        skein_b = TorusSkein.curve(field, *g_b)
-        for i in range(padded + 1):
-            if (g_h, i) not in acted_h:
-                acted_h[(g_h, i)] = act(skein_h, AnnulusSkein.z_power(field, i))
-            if (g_b, i) not in acted_b:
-                acted_b[(g_b, i)] = act(skein_b, AnnulusSkein.z_power(field, i))
-    rows = []
-    for g_h, g_b in gens:
-        for i in range(padded + 1):
-            left = acted_h[(g_h, i)]
-            if left.degree() > padded:
-                continue
-            for j in range(padded + 1):
-                right = acted_b[(g_b, j)]
-                if right.degree() > padded:
-                    continue
-                row = {}
-                for d, c in left.coeffs.items():
-                    row[(d, j)] = c
-                for d, c in right.coeffs.items():
-                    key = (i, d)
-                    cur = row.get(key)
-                    nv = -c if cur is None else cur - c
-                    if nv:
-                        row[key] = nv
-                    elif key in row:
-                        del row[key]
-                if row:
-                    rows.append(row)
-    # sparse rows first: singleton pivots make later eliminations cheap
-    rows.sort(key=len)
-    for row in rows:
-        ech.insert(row)
-    dim = 0
-    basis = []
     one = field.one()
-    for i in range(bound + 1):
-        for j in range(bound + 1):
-            if ech.insert({(i, j): one}):
-                dim += 1
-                basis.append((i, j))
-    return dim, sorted(basis)
+    done = -1  # the padded window whose rows are all in ``ech``
+    for M in itertools.count(start):
+        padded = M + growth
+        rows = []
+        for (skein_h, skein_b), (acted_h, acted_b) in zip(skeins, acted):
+            for k in range(len(acted_h), padded + 1):
+                acted_h.append(act(skein_h, AnnulusSkein.z_power(field, k)))
+                acted_b.append(act(skein_b, AnnulusSkein.z_power(field, k)))
+            for i in range(padded + 1):
+                left = acted_h[i]
+                fit_h = max(i, left.degree())
+                if fit_h > padded:
+                    continue
+                for j in range(padded + 1):
+                    right = acted_b[j]
+                    fit = max(fit_h, j, right.degree())
+                    if fit > padded or fit <= done:
+                        continue  # too big yet, or inserted with an earlier window
+                    row = {}
+                    for d, c in left.coeffs.items():
+                        row[(d, j)] = c
+                    for d, c in right.coeffs.items():
+                        key = (i, d)
+                        cur = row.get(key)
+                        nv = -c if cur is None else cur - c
+                        if nv:
+                            row[key] = nv
+                        elif key in row:
+                            del row[key]
+                    if row:
+                        rows.append(row)
+        # sparse rows first: singleton pivots make later eliminations cheap
+        rows.sort(key=len)
+        for row in rows:
+            ech.insert(row)
+        done = padded
+        test = ech.copy()
+        basis = [(i, j) for i in range(M + 1) for j in range(M + 1) if test.insert({(i, j): one})]
+        yield M, len(basis), basis
 
 
 def lens_module(p: int, q: int, field: CoeffField, truncation: int | None = None) -> LensReport:
@@ -304,29 +324,24 @@ def lens_module(p: int, q: int, field: CoeffField, truncation: int | None = None
         raise SkeinError(f"truncation must be non-negative, got {truncation}")
     gluing = GluingMatrix.lens(p, q)
     N = truncation if truncation is not None else max(abs(p) + 2, 4)
-    dims = {}
-    basis_at_n = None
-    for M in (N, N + 1, N + 2):
-        dim, basis = _truncated_dim(gluing, field, M)
-        dims[M] = dim
-        if M == N:
-            basis_at_n = basis
+    windows = list(itertools.islice(_windows(gluing, field, N), 3))
+    dims = {M: dim for M, dim, _ in windows}
     stable = len(set(dims.values())) == 1
-    return LensReport(p, q, field.tag, N, dims[N], stable, basis_at_n, dims)
+    return LensReport(p, q, field.tag, N, dims[N], stable, windows[0][2], dims)
 
 
 def dim_K_q(p: int, q: int, max_truncation: int | None = None) -> int:
     """Dimension over Q(q) at the first truncation whose three windows agree;
     raises if no window up to the budget does."""
-    field = GenericQ()
     start = max(abs(p) + 2, 4)
     limit = max_truncation if max_truncation is not None else 2 * abs(p) + 12
     dims_seen = {}
-    N = start
-    while N <= limit:
-        report = lens_module(p, q, field, N)
-        dims_seen.update(report.dims)
-        if report.stabilized:
-            return report.dimension
-        N += 1
+    if limit >= start:
+        # the first windows N, N+1, N+2 that agree, for N = start .. limit
+        for M, dim, _ in _windows(GluingMatrix.lens(p, q), GenericQ(), start):
+            dims_seen[M] = dim
+            if M >= start + 2 and dims_seen[M - 2] == dims_seen[M - 1] == dim:
+                return dim
+            if M == limit + 2:
+                break
     raise StabilizationError(f"L({p},{q}) did not stabilize by truncation {limit}", dims_seen)

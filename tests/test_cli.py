@@ -98,13 +98,11 @@ def test_lens_cli_deterministic(tmp_path):
 
 
 def test_lens_cli_unstable_exit_code(capsys):
-    # tiny truncation on a bigger lens space: not stabilized -> exit 3
-    code = main(["lens", "--p", "7", "--q", "1", "--truncation", "4"])
+    # truncation 0 is too small for L(7,1): not stabilized -> exit 3
+    code = main(["lens", "--p", "7", "--q", "1", "--truncation", "0"])
     report = capsys.readouterr().out
-    if code == 3:
-        assert "NOT STABLE" in report
-    else:
-        assert code == 0
+    assert code == 3
+    assert "NOT STABLE" in report
 
 
 def test_charring_cli(tmp_path, capsys):

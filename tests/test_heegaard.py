@@ -1,10 +1,11 @@
+import itertools
 import math
 import os
 
 import pytest
 
 from skeinlab import heegaard
-from skeinlab.coeffs import GenericQ, ZetaField
+from skeinlab.coeffs import GenericQ, ZetaField, field_from_tag
 from skeinlab.errors import SkeinError, StabilizationError
 from skeinlab.heegaard import GluingMatrix, dim_K_q, lens_module
 
@@ -63,13 +64,12 @@ def test_report_shape():
 
 
 def test_unstable_flag_is_honest():
-    # a too-small truncation may disagree across the three windows; if it
-    # does, the flag must say so and dims must expose the disagreement
-    rep = lens_module(7, 1, F, truncation=4)
-    if not rep.stabilized:
-        assert len(set(rep.dims.values())) > 1
-    else:
-        assert len(set(rep.dims.values())) == 1
+    # truncation 0 is too small for L(7,1): the three windows disagree, and
+    # the flag and dims must say so
+    rep = lens_module(7, 1, F, truncation=0)
+    assert rep.stabilized is False
+    assert rep.dims == {0: 1, 1: 3, 2: 4}
+    assert rep.dimension == 1 and "NOT STABLE" in repr(rep)
 
 
 def test_stabilization_error_when_budget_exhausted():
@@ -105,6 +105,47 @@ def test_generic_elimination_keeps_int_coefficients(monkeypatch):
 
     monkeypatch.setattr(heegaard, "_PairEchelon", Recording)
     rep = lens_module(3, 1, GenericQ())
-    assert rep.dimension == 2 and len(made) == 3
+    # one relation echelon, and one copy per window to test its classes on
+    assert rep.dimension == 2 and len(made) == 4
     coeffs = [c for ech in made for piv in ech.pivots.values() for v in piv.values() for c in v.terms.values()]
     assert coeffs and all(type(c) is int for c in coeffs)
+
+
+@pytest.mark.parametrize(
+    "p, q, tag",
+    [
+        (2, 1, "generic"),
+        (3, 1, "generic"),
+        (4, 1, "generic"),
+        (5, 2, "generic"),
+        (3, 1, "zeta:5"),
+        (1, 0, "zeta:3"),
+        (2, 1, "rationals(q=-1)"),
+    ],
+)
+def test_incremental_windows_match_fresh_eliminations(p, q, tag):
+    # one pass grows a single elimination; each window must give the
+    # dimension and basis of an elimination of that window alone
+    field = field_from_tag(tag)
+    gluing = GluingMatrix.lens(p, q)
+    start = max(abs(p) + 2, 4)
+    one_pass = list(itertools.islice(heegaard._windows(gluing, field, start), 3))
+    assert [M for M, _, _ in one_pass] == [start, start + 1, start + 2]
+    for M, dim, basis in one_pass:
+        fresh = next(heegaard._windows(gluing, field, M))
+        assert fresh == (M, dim, basis)
+        assert dim == len(basis)
+
+
+def test_echelon_copy_leaves_original_untouched():
+    ech = heegaard._PairEchelon(F)
+    one = F.one()
+    assert ech.insert({(0, 0): one, (1, 0): F.q_power(2)})
+    assert ech.insert({(0, 1): one})
+    before = {k: dict(v) for k, v in ech.pivots.items()}
+    twin = ech.copy()
+    assert twin.insert({(1, 1): one, (0, 0): F.q_power(-1)})
+    # reduces against a pivot row the two echelons share
+    assert twin.insert({(1, 0): one})
+    assert twin.rank() == 4
+    assert ech.rank() == 2 and ech.pivots == before
