@@ -20,15 +20,15 @@ from . import upoly
 from .errors import SkeinError
 from .groebner import PolyIdeal, QuotientRing, buchberger
 from .linalg import (
+    Echelon,
+    coordinates,
+    dense,
     identity,
-    in_span,
     mat_mul,
     mat_vec,
     minimal_polynomial,
-    nullspace,
-    rank,
-    row_space_basis,
-    solve,
+    span,
+    sparse,
 )
 from .multipoly import MultiPoly
 
@@ -82,10 +82,10 @@ def _poly_str(cs):
 
 def _restrict(mat, basis_rows):
     """Matrix of an operator restricted to an invariant subspace (rows basis)."""
+    coords = coordinates(basis_rows)
     cols = []
     for row in basis_rows:
-        img = mat_vec(mat, row)
-        sol = solve([[basis_rows[t][i] for t in range(len(basis_rows))] for i in range(len(img))], img)
+        sol = coords(mat_vec(mat, row))
         if sol is None:
             raise SkeinError("subspace is not invariant")
         cols.append(sol)
@@ -97,21 +97,17 @@ def _block_minpoly(mat):
     """Minimal polynomial of a matrix via cyclic subspaces."""
     n = len(mat)
     done = [Fraction(1)]
-    basis_rows = []
+    invariant = Echelon()  # sum of the cyclic subspaces so far
     for i in range(n):
-        v = [Fraction(0)] * n
-        v[i] = Fraction(1)
-        if basis_rows and in_span(v, basis_rows):
-            continue
+        if not invariant.insert({i: Fraction(1)}):
+            continue  # a dependent start adds nothing to the lcm
+        v = [Fraction(int(t == i)) for t in range(n)]
         mp = minimal_polynomial(lambda w: mat_vec(mat, w), v, n)
         done = upoly.lcm(done, mp)
-        # grow the invariant span to skip dependent starts
-        w = v
-        rows = basis_rows + [w]
-        for _ in range(n):
-            w = mat_vec(mat, w)
-            rows.append(w)
-        basis_rows = row_space_basis(rows)
+        # the cyclic subspace of v is spanned by v, Av, ..., A^(deg mp - 1) v
+        for _ in range(len(mp) - 2):
+            v = mat_vec(mat, v)
+            invariant.insert(sparse(v))
         if len(done) == n + 1:
             break
     return done
@@ -125,7 +121,6 @@ def artinian_decompose(ring: QuotientRing):
     if d == 0:
         return []
     tables = ring.mult_tables()
-    n_vars = len(ring.vars)
 
     # ambient coordinates: standard monomial basis; blocks are row bases
     blocks = [identity(d)]
@@ -144,16 +139,16 @@ def artinian_decompose(ring: QuotientRing):
                 for _ in range(e):
                     pw = upoly.mul(pw, fc)
                 m = _poly_of_matrix(pw, sub)
-                # kernel inside the block, lifted to ambient rows
-                ker = nullspace([[m[i][j] for j in range(len(sub))] for i in range(len(sub))])
-                lifted = []
-                for v in ker:
-                    amb = [Fraction(0)] * d
-                    for c, row in zip(v, basis_rows):
-                        if c:
-                            amb = [a + c * b for a, b in zip(amb, row)]
-                    lifted.append(amb)
-                out.append(row_space_basis(lifted))
+                # kernel inside the block, lifted to ambient rows: block vector
+                # j goes in as its image (column j of m) tagged with its ambient
+                # row, so the rows left with only tags span the lifted kernel
+                ker = Echelon()
+                for j, amb in enumerate(basis_rows):
+                    row = {i: m[i][j] for i in range(len(sub)) if m[i][j]}
+                    row.update({-1 - a: x for a, x in enumerate(amb) if x})
+                    ker.insert(row)
+                lifted = [row for lead, row in ker.pivots.items() if lead < 0]
+                out.append([dense({-1 - k: x for k, x in row.items()}, d) for row in lifted])
         return out
 
     for v in ring.vars:
@@ -213,9 +208,7 @@ def artinian_decompose(ring: QuotientRing):
 
 def _project(vec, block_rows, other_rows):
     """Component of vec in span(block_rows) along span(other_rows)."""
-    cols = list(block_rows) + list(other_rows)
-    mat = [[cols[t][i] for t in range(len(cols))] for i in range(len(vec))]
-    sol = solve(mat, list(vec))
+    sol = coordinates(list(block_rows) + list(other_rows))(vec)
     if sol is None:
         raise SkeinError("vector not in the direct sum of blocks")
     out = [Fraction(0)] * len(vec)
@@ -238,14 +231,12 @@ def _residue_data(ring, tables, basis_rows):
     # multiplication matrices of the block algebra in its own basis: the
     # product of two block elements computed through ambient normal forms
     amb_elems = [ring.from_coords(row) for row in basis_rows]
+    coords = coordinates(basis_rows)
     mat_cols = {}
     for j, bj in enumerate(amb_elems):
         col = []
         for i, bi in enumerate(amb_elems):
-            pc = ring.coords(bi * bj)
-            sol = solve(
-                [[basis_rows[t][r] for t in range(dsub)] for r in range(len(pc))], pc
-            )
+            sol = coords(ring.coords(bi * bj))
             if sol is None:
                 raise SkeinError("block not closed under multiplication")
             col.append(sol)
@@ -258,8 +249,7 @@ def _residue_data(ring, tables, basis_rows):
         [sum(mat_mul(mult_mats[i], mult_mats[j])[t][t] for t in range(dsub)) for j in range(dsub)]
         for i in range(dsub)
     ]
-    rad_dim = dsub - rank(gram)
-    res_dim = dsub - rad_dim
+    res_dim = span(gram).rank()  # dsub minus the radical, the trace form's kernel
     # local iff the semisimple quotient is a field: one orbit iff some small
     # integer combination of coordinates has an irreducible minimal polynomial
     # of degree res_dim on the semisimple quotient
@@ -327,10 +317,9 @@ class PresentedModule:
             if len(col) != rank_:
                 raise SkeinError("relation column of wrong length")
 
-    def _ground_relation_rows(self, component_basis=None):
+    def _ground_relation_rows(self):
         """Ground-field row vectors spanning the relation submodule of A^r."""
         ring = self.ring
-        d = ring.dimension()
         rows = []
         monos = [MultiPoly(ring.vars, {m: Fraction(1)}) for m in ring.standard_monomials]
         for col in self.relations:
@@ -344,7 +333,7 @@ class PresentedModule:
     def total_dim(self):
         d = self.ring.dimension()
         rows = self._ground_relation_rows()
-        return self.rank * d - (rank(rows) if rows else 0)
+        return self.rank * d - span(rows).rank()
 
 
 def specialize_vs_localize(module: PresentedModule, factor: LocalFactor):
@@ -368,34 +357,18 @@ def specialize_vs_localize(module: PresentedModule, factor: LocalFactor):
             for t in range(r):
                 row.extend(ring.coords(entry) if t == unit else [Fraction(0)] * d)
             rows.append(row)
-    dim_spec = r * d - (rank(rows) if rows else 0)
+    dim_spec = r * d - span(rows).rank()
 
-    # route 2: localization by idempotent projection. e*M = e*A^r / e*relations
-    eblock = row_space_basis([list(v) for v in _ideal_rows(ring, idem)])
-    block_dim = len(eblock)
-    # coordinates of e*A^r: r blocks of the e-ideal
-    rel_rows = []
-    for col in module.relations:
-        for mono in monos:
-            row = []
-            for entry in col:
-                vec = ring.coords(idem * entry * mono)
-                row.extend(_coords_in(vec, eblock))
-            rel_rows.append(row)
-    dim_loc = r * block_dim - (rank(rel_rows) if rel_rows else 0)
+    # route 2: localization by idempotent projection. e*M = e*A^r / e*relations,
+    # with e*relations in ambient coordinates: coordinates against a basis of
+    # the e-ideal are an injective linear image of them, with the same rank
+    block_dim = span(_ideal_rows(ring, idem)).rank()
+    localized = [[idem * entry for entry in col] for col in module.relations]
+    localized = PresentedModule(ring, r, localized)
+    dim_loc = r * block_dim - span(localized._ground_relation_rows()).rank()
     return dim_spec, dim_loc, dim_spec == dim_loc
 
 
 def _ideal_rows(ring, gen):
     monos = [MultiPoly(ring.vars, {m: Fraction(1)}) for m in ring.standard_monomials]
     return [ring.coords(gen * mono) for mono in monos]
-
-
-def _coords_in(vec, basis_rows):
-    if not basis_rows:
-        return []
-    mat = [[basis_rows[t][i] for t in range(len(basis_rows))] for i in range(len(vec))]
-    sol = solve(mat, list(vec))
-    if sol is None:
-        raise SkeinError("vector outside the idempotent block")
-    return sol

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .artinian import artinian_decompose, _restrict
 from .errors import SkeinError
 from .groebner import PolyIdeal, buchberger
-from .linalg import invert
+from .linalg import span
 from .multipoly import MultiPoly
 
 _INVERSE = {"a": "A", "A": "a", "b": "B", "B": "b"}
@@ -289,7 +289,7 @@ def char_ring(group: GroupPresentation) -> CharRingReport:
         flags = [False] * len(factors)  # abelian image: every character reducible
     else:
         kappa = ring.mult_matrix(ring.normal_form(commutator_trace() - 2))
-        flags = [invert(_restrict(kappa, f.basis)) is not None for f in factors]
+        flags = [span(_restrict(kappa, f.basis)).rank() == f.multiplicity for f in factors]
     return CharRingReport(group, ideal, ring, dim, tuple(factors), tuple(flags))
 
 

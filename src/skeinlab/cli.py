@@ -171,9 +171,10 @@ def cmd_verify(args):
     if args.what != "cor-lr":
         print(f"unknown verification target {args.what}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    if args.seeds < 1:
-        print(f"error: --seeds must be at least 1, got {args.seeds}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    for flag in ("seeds", "dimA", "n"):
+        if getattr(args, flag) < 1:
+            print(f"error: --{flag} must be at least 1, got {getattr(args, flag)}", file=sys.stderr)
+            return EXIT_BAD_INPUT
     rows = []
     for seed in range(args.seeds):
         algebra, n, L, R = random_instance(seed, args.dimA, args.n)

@@ -35,6 +35,7 @@ import math
 from .coeffs import CoeffField, GenericQ, LaurentPoly, Rationals
 from .diagrams import AnnulusSkein
 from .errors import SkeinError, StabilizationError
+from .linalg import Echelon
 from .solidtorus import act
 from .torus import TorusSkein, normalize_label
 
@@ -111,20 +112,16 @@ class LensReport:
         return f"LensReport(L({self.p},{self.q}), {self.field_tag}, dim={self.dimension}, {flag})"
 
 
-class _PairEchelon:
-    """Row space over basis pairs (i, j), pivoting on the largest pair.
+class _LaurentEchelon(Echelon):
+    """The relation echelon over the generic field, eliminated fraction-free
+    over Z[q, q^-1].
 
-    Over the generic field the rows hold Laurent polynomials and are
-    eliminated fraction-free over Z[q, q^-1]: cross-multiplication plus
-    stripping of the monomial and integer content, so every coefficient stays
-    an ``int``. Rational-function division would swamp the computation with
-    gcd work. Other fields eliminate by ordinary division.
+    The rows hold Laurent polynomials: cross-multiplication plus stripping of
+    the monomial and integer content keeps every coefficient an ``int``.
+    Rational-function division would swamp the computation with gcd work.
+    Stored rows keep their pivots unnormalized, so this echelon answers
+    ``insert``, ``rank`` and ``copy``, not ``normal_form``.
     """
-
-    def __init__(self, field):
-        self.field = field
-        self.fraction_free = isinstance(field, GenericQ)
-        self.pivots = {}
 
     def _clear(self, row):
         # the action never divides, so every entry is already Laurent; one
@@ -158,67 +155,34 @@ class _PairEchelon:
         return row
 
     def insert(self, row: dict) -> bool:
-        """Reduce ``row`` and store what is left as a new pivot row; False if
-        it reduced to zero. A stored pivot row is only read, never changed:
-        ``copy`` relies on that."""
-        if self.fraction_free:
-            row = self._clear(row)
-            while row:
-                lead = max(row)
-                piv = self.pivots.get(lead)
-                if piv is None:
-                    self.pivots[lead] = self._strip(row)
-                    return True
-                if len(piv) == 1:
-                    # singleton pivot: dropping the key spans the same ray
-                    del row[lead]
-                    continue
-                a, b = piv[lead], row[lead]
-                new = {}
-                for k, v in row.items():
-                    w = piv.get(k)
-                    nv = v * a - w * b if w is not None else v * a
-                    if nv:
-                        new[k] = nv
-                for k, w in piv.items():
-                    if k not in row:
-                        nv = -(w * b)
-                        if nv:
-                            new[k] = nv
-                row = self._strip(new) if new else new
-            return False
+        row = self._clear(row)
         while row:
             lead = max(row)
             piv = self.pivots.get(lead)
             if piv is None:
-                c = self.field.inv(row[lead])
-                self.pivots[lead] = {k: v * c for k, v in row.items()}
+                self.pivots[lead] = self._strip(row)
                 return True
-            factor = row[lead]
+            if len(piv) == 1:
+                # singleton pivot: dropping the key spans the same ray
+                del row[lead]
+                continue
+            a, b = piv[lead], row[lead]
             new = {}
             for k, v in row.items():
                 w = piv.get(k)
-                nv = v - w * factor if w is not None else v
+                nv = v * a - w * b if w is not None else v * a
                 if nv:
                     new[k] = nv
             for k, w in piv.items():
                 if k not in row:
-                    nv = -(w * factor)
+                    nv = -(w * b)
                     if nv:
                         new[k] = nv
-            row = new
+            row = self._strip(new) if new else new
         return False
 
-    def rank(self):
-        return len(self.pivots)
-
-    def copy(self):
-        """An echelon with the same rows; inserting into either leaves the other
-        as it was. Sharing the pivot rows is safe because ``insert`` only ever
-        adds a pivot row and never changes one it has stored."""
-        other = type(self)(self.field)
-        other.pivots = dict(self.pivots)
-        return other
+    def normal_form(self, row):
+        raise NotImplementedError("fraction-free pivots are not normalized")
 
 
 def _generator_pairs(gluing: GluingMatrix, field: CoeffField):
@@ -271,7 +235,7 @@ def _windows(gluing: GluingMatrix, field: CoeffField, start: int):
     )
     skeins = [(TorusSkein.curve(field, *g_h), TorusSkein.curve(field, *g_b)) for g_h, g_b in gens]
     acted = [([], []) for _ in gens]  # per generator: act on z^0, z^1, ... on each side
-    ech = _PairEchelon(field)
+    ech = (_LaurentEchelon if isinstance(field, GenericQ) else Echelon)(field)
     one = field.one()
     done = -1  # the padded window whose rows are all in ``ech``
     for M in itertools.count(start):
@@ -332,16 +296,18 @@ def lens_module(p: int, q: int, field: CoeffField, truncation: int | None = None
 
 def dim_K_q(p: int, q: int, max_truncation: int | None = None) -> int:
     """Dimension over Q(q) at the first truncation whose three windows agree;
-    raises if no window up to the budget does."""
+    raises if no window up to the budget does, and rejects a budget below the
+    first window, max(|p| + 2, 4)."""
     start = max(abs(p) + 2, 4)
     limit = max_truncation if max_truncation is not None else 2 * abs(p) + 12
+    if limit < start:
+        raise SkeinError(f"max_truncation {limit} is below the first window {start} of L({p},{q})")
     dims_seen = {}
-    if limit >= start:
-        # the first windows N, N+1, N+2 that agree, for N = start .. limit
-        for M, dim, _ in _windows(GluingMatrix.lens(p, q), GenericQ(), start):
-            dims_seen[M] = dim
-            if M >= start + 2 and dims_seen[M - 2] == dims_seen[M - 1] == dim:
-                return dim
-            if M == limit + 2:
-                break
+    # the first windows N, N+1, N+2 that agree, for N = start .. limit
+    for M, dim, _ in _windows(GluingMatrix.lens(p, q), GenericQ(), start):
+        dims_seen[M] = dim
+        if M >= start + 2 and dims_seen[M - 2] == dims_seen[M - 1] == dim:
+            return dim
+        if M == limit + 2:
+            break
     raise StabilizationError(f"L({p},{q}) did not stabilize by truncation {limit}", dims_seen)

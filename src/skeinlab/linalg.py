@@ -1,8 +1,15 @@
-"""Dense exact linear algebra over any of the coefficient fields.
+"""Exact linear algebra over any of the coefficient fields.
 
 Matrices are lists of rows; scalars are Fractions (or any field scalar with
-operator arithmetic plus a field object supplying inv/zero/one). Everything
-is straightforward Gauss-Jordan; sizes in this package are tiny.
+operator arithmetic plus a field object supplying inv/zero/one).
+
+Every elimination over a field goes through one kernel, ``Echelon``: a
+sparse row echelon form built one row at a time. Rank, membership, normal
+forms, coordinates against a basis, kernels and minimal polynomials are all
+read off it. Coordinates use tag keys: a row that carries the key ``-1 - t``
+remembers that it came from source t, and since these tags sort below every
+(non-negative) column, the columns are eliminated first and the tag part of
+a reduced row records the combination of sources it came from.
 """
 
 from __future__ import annotations
@@ -55,114 +62,136 @@ def identity(n, field=QQ):
     return [[field.one() if i == j else field.zero() for j in range(n)] for i in range(n)]
 
 
-def rref(matrix, field=QQ):
-    """Reduced row echelon form: returns (rows, pivot_columns)."""
-    rows = [list(r) for r in matrix]
-    n = len(rows)
-    m = len(rows[0]) if n else 0
-    pivots = []
-    r = 0
-    for c in range(m):
-        piv = None
-        for i in range(r, n):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    return rows[:r], pivots
+class Echelon:
+    """Row space of sparse rows over a field, grown one row at a time.
+
+    A row is a dict ``{key: scalar}`` with mutually comparable keys and no zero
+    entries. Each stored row pivots on its largest key, no two stored rows share
+    a pivot, and a stored row is scaled so that its pivot entry is one. A stored
+    row is only read, never changed: ``copy`` relies on that.
+    """
+
+    def __init__(self, field=QQ):
+        self.field = field
+        self.pivots = {}  # pivot key -> stored row
+
+    def insert(self, row: dict) -> bool:
+        """Reduce ``row`` and store what is left as a new pivot row; False if
+        it reduced to zero."""
+        while row:
+            lead = max(row)
+            piv = self.pivots.get(lead)
+            if piv is None:
+                c = self.field.inv(row[lead])
+                self.pivots[lead] = {k: v * c for k, v in row.items()}
+                return True
+            factor = row[lead]
+            new = {}
+            for k, v in row.items():
+                w = piv.get(k)
+                nv = v - w * factor if w is not None else v
+                if nv:
+                    new[k] = nv
+            for k, w in piv.items():
+                if k not in row:
+                    nv = -(w * factor)
+                    if nv:
+                        new[k] = nv
+            row = new
+        return False
+
+    def normal_form(self, row: dict) -> dict:
+        """The representative of ``row`` modulo the row space that has no pivot
+        key: empty exactly when ``row`` is in the span, and independent of the
+        order the rows went in."""
+        row = dict(row)
+        out = {}
+        while row:
+            lead = max(row)
+            c = row.pop(lead)
+            piv = self.pivots.get(lead)
+            if piv is None:
+                out[lead] = c
+                continue
+            for k, w in piv.items():
+                if k != lead:
+                    v = row.get(k)
+                    nv = -(w * c) if v is None else v - w * c
+                    if nv:
+                        row[k] = nv
+                    elif v is not None:
+                        del row[k]
+        return out
+
+    def rank(self):
+        return len(self.pivots)
+
+    def copy(self):
+        """An echelon with the same rows; inserting into either leaves the other
+        as it was. Sharing the pivot rows is safe because ``insert`` only ever
+        adds a pivot row and never changes one it has stored."""
+        other = type(self)(self.field)
+        other.pivots = dict(self.pivots)
+        return other
 
 
-def rank(matrix, field=QQ):
-    if not matrix:
-        return 0
-    return len(rref(matrix, field)[0])
+def sparse(vec):
+    """A dense vector as an Echelon row keyed by position."""
+    return {j: x for j, x in enumerate(vec) if x}
 
 
-def nullspace(matrix, field=QQ):
-    """Basis of the right kernel, as column vectors (lists)."""
-    if not matrix:
-        return []
-    m = len(matrix[0])
-    rows, pivots = rref(matrix, field)
-    free = [j for j in range(m) if j not in pivots]
-    basis = []
-    for f in free:
-        v = [field.zero()] * m
-        v[f] = field.one()
-        for r, p in zip(rows, pivots):
-            v[p] = -r[f]
-        basis.append(v)
-    return basis
+def dense(row, size, field=QQ):
+    zero = field.zero()
+    return [row.get(j, zero) for j in range(size)]
 
 
-def solve(matrix, rhs, field=QQ):
-    """One solution of matrix @ x = rhs, or None."""
-    n = len(matrix)
-    m = len(matrix[0]) if n else 0
-    aug = [list(matrix[i]) + [rhs[i]] for i in range(n)]
-    rows, pivots = rref(aug, field)
-    for r, p in zip(rows, pivots):
-        if p == m:
+def span(vectors, field=QQ):
+    """Echelon of the span of dense vectors."""
+    ech = Echelon(field)
+    for v in vectors:
+        ech.insert(sparse(v))
+    return ech
+
+
+def coordinates(basis_rows, field=QQ):
+    """Function giving the coefficients of a dense vector against the linearly
+    independent dense ``basis_rows``, or None for a vector outside their span.
+
+    Row t goes in with the tag key -1 - t, so the normal form of a vector in
+    the span is minus its coefficients on the tags.
+    """
+    ech = Echelon(field)
+    one, zero = field.one(), field.zero()
+    for t, r in enumerate(basis_rows):
+        row = sparse(r)
+        row[-1 - t] = one
+        ech.insert(row)
+
+    def coords(vec):
+        nf = ech.normal_form(sparse(vec))
+        if nf and max(nf) >= 0:
             return None
-    x = [field.zero()] * m
-    for r, p in zip(rows, pivots):
-        x[p] = r[m]
-    return x
+        return [-nf.get(-1 - t, zero) for t in range(len(basis_rows))]
 
-
-def invert(matrix, field=QQ):
-    n = len(matrix)
-    aug = [list(matrix[i]) + identity(n, field)[i] for i in range(n)]
-    rows, pivots = rref(aug, field)
-    if pivots[:n] != list(range(n)) or len(rows) < n:
-        return None
-    return [row[n:] for row in rows[:n]]
-
-
-def row_space_basis(vectors, field=QQ):
-    """Echelon basis of the span of the given row vectors."""
-    if not vectors:
-        return []
-    rows, _ = rref(vectors, field)
-    return rows
-
-
-def in_span(vector, basis_rows, field=QQ):
-    """Is vector in the row span of an echelonized basis?"""
-    v = list(vector)
-    for row in basis_rows:
-        lead = next((j for j, x in enumerate(row) if x), None)
-        if lead is not None and v[lead]:
-            f = v[lead]
-            v = [x - f * y for x, y in zip(v, row)]
-    return not any(v)
+    return coords
 
 
 def minimal_polynomial(apply_fn, vec, dim, field=QQ):
     """Monic minimal polynomial of an operator on the cyclic space of vec.
 
     apply_fn maps a vector to its image; returns ascending coefficients.
+    Krylov vector t goes in with the tag -1 - t, so the first one whose normal
+    form has no column left reads the relation off its tags.
     """
-    krylov = [list(vec)]
-    while True:
-        nxt = apply_fn(krylov[-1])
-        # solve krylov^T c = nxt
-        mat = [[krylov[t][i] for t in range(len(krylov))] for i in range(dim)]
-        sol = solve(mat, nxt, field)
-        if sol is not None:
-            return [-c for c in sol] + [field.one()]
-        krylov.append(nxt)
-        if len(krylov) > dim + 1:  # pragma: no cover
-            raise RuntimeError("minimal polynomial search exceeded dimension")
+    ech = Echelon(field)
+    one, zero = field.one(), field.zero()
+    w = list(vec)
+    row = sparse(w)
+    for t in range(dim + 1):
+        if not row or max(row) < 0:
+            return [row.get(-1 - s, zero) for s in range(t)] + [one]
+        row[-1 - t] = one
+        ech.insert(row)
+        w = apply_fn(w)
+        row = ech.normal_form(sparse(w))
+    raise RuntimeError("minimal polynomial search exceeded dimension")  # pragma: no cover

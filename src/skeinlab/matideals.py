@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 
 from .errors import SkeinError
-from .linalg import in_span, rank, row_space_basis
+from .linalg import Echelon, dense, span, sparse
 from .upoly import reduction_rows
 
 # ---------------------------------------------------------------------------
@@ -162,33 +162,31 @@ class MatIdeal:
         """Ground-field basis of the full one-sided ideal the generators span.
 
         Closure under matrix units from the ideal side and under the central
-        A-action; finite dimension guarantees the fixed point.
+        A-action; finite dimension guarantees the fixed point. A span closed
+        under some linear maps is closed under their products, so the units
+        E_{i,i+1} and E_{i+1,i} stand for all of them: E_ii = E_{i,i+1} E_{i+1,i}
+        (or E_{i,i-1} E_{i-1,i}), and E_ij is a product along the chain.
         """
         A, n, d = self.algebra, self.n, self.algebra.dim
-        vecs = [_flatten(g, n, d) for g in self.generators]
-        basis = row_space_basis([v for v in vecs if any(v)])
-        changed = True
-        while changed:
-            changed = False
-            current = [list(v) for v in basis]
-            for vec in current:
-                mat = _unflatten(vec, n, d)
-                images = []
-                for i in range(n):
-                    for j in range(n):
-                        images.append(_matrix_unit_mul(A, n, mat, i, j, self.side))
-                for t in range(d):
-                    images.append(
-                        [
-                            [A.mul(A.basis_vec(t), entry) for entry in row]
-                            for row in mat
-                        ]
-                    )
-                for img in images:
-                    fl = _flatten(img, n, d)
-                    if any(fl) and not in_span(fl, basis):
-                        basis = row_space_basis(basis + [fl])
-                        changed = True
+        ech = Echelon()
+        basis = []
+
+        def add(mat):
+            vec = _flatten(mat, n, d)
+            if ech.insert(sparse(vec)):
+                basis.append(vec)
+
+        for g in self.generators:
+            add(g)
+        # the loop also visits the vectors it appends: the images of every
+        # basis vector go in once, and then the span is closed
+        for vec in basis:
+            mat = _unflatten(vec, n, d)
+            for i in range(n - 1):
+                add(_matrix_unit_mul(A, n, mat, i, i + 1, self.side))
+                add(_matrix_unit_mul(A, n, mat, i + 1, i, self.side))
+            for t in range(d):
+                add([[A.mul(A.basis_vec(t), entry) for entry in row] for row in mat])
         return basis
 
 
@@ -211,51 +209,52 @@ def row_space(ideal: MatIdeal):
     generator rows (left multiplication only recombines rows)."""
     if ideal.side != "left":
         raise SkeinError("row_space expects a left ideal")
-    return _side_space(ideal, rows=True)
+    return _basis(_side_space(ideal, rows=True), ideal.n * ideal.algebra.dim)
 
 
 def column_space(ideal: MatIdeal):
     if ideal.side != "right":
         raise SkeinError("column_space expects a right ideal")
-    return _side_space(ideal, rows=False)
+    return _basis(_side_space(ideal, rows=False), ideal.n * ideal.algebra.dim)
+
+
+def _basis(ech, size):
+    return [dense(row, size) for _, row in sorted(ech.pivots.items())]
 
 
 def _side_space(ideal: MatIdeal, rows: bool):
+    """Echelon of V(L) (rows of a left ideal) or V(R) (columns of a right one)."""
     A, n, d = ideal.algebra, ideal.n, ideal.algebra.dim
-    vecs = []
+    ech = Echelon()
     for g in ideal.generators:
         for t in range(n):
             tup = [g[t][j] for j in range(n)] if rows else [g[i][t] for i in range(n)]
             for s in range(d):
-                scaled = [A.mul(A.basis_vec(s), entry) for entry in tup]
                 flat = []
-                for entry in scaled:
-                    flat.extend(entry)
-                if any(flat):
-                    vecs.append(flat)
-    return row_space_basis(vecs)
+                for entry in tup:
+                    flat.extend(A.mul(A.basis_vec(s), entry))
+                ech.insert(sparse(flat))
+    return ech
 
 
-def _module_quotient_data(A: FinAlg, n, subspace_rows):
-    """A^n / subspace: ground-field basis (coset reps) and A-action data."""
+def _quotient_action(A: FinAlg, n, sub):
+    """A^n / sub for an Echelon ``sub``: the coset representatives (the
+    non-pivot positions) and, per basis element e_t of A, the normal form of
+    e_t times each representative, as {representative index: coefficient}."""
     d = A.dim
-    total = n * d
-    sub = row_space_basis(subspace_rows)
-    leads = set()
-    for r in sub:
-        leads.add(next(i for i, x in enumerate(r) if x))
-    reps = [i for i in range(total) if i not in leads]
-
-    def reduce_vec(v):
-        v = list(v)
-        for r in sub:
-            lead = next(i for i, x in enumerate(r) if x)
-            if v[lead]:
-                c = v[lead]
-                v = [a - c * b for a, b in zip(v, r)]
-        return v
-
-    return sub, reps, reduce_vec
+    reps = [i for i in range(n * d) if i not in sub.pivots]
+    index = {pos: idx for idx, pos in enumerate(reps)}
+    action = []
+    for t in range(d):
+        images = []
+        for pos in reps:
+            # e_t times the unit vector at pos, componentwise
+            c, s = divmod(pos, d)
+            img = [Fraction(0)] * (n * d)
+            img[c * d : (c + 1) * d] = A.mul(A.basis_vec(t), A.basis_vec(s))
+            images.append({index[k]: x for k, x in sub.normal_form(sparse(img)).items()})
+        action.append(images)
+    return len(reps), action
 
 
 def verify_lr_quotient(L: MatIdeal, R: MatIdeal):
@@ -267,60 +266,22 @@ def verify_lr_quotient(L: MatIdeal, R: MatIdeal):
         raise SkeinError("ideals over different matrix algebras")
     A, n, d = L.algebra, L.n, L.algebra.dim
 
-    lhs_rows = L.completed_basis() + R.completed_basis()
-    dim_lhs = n * n * d - (rank(lhs_rows) if lhs_rows else 0)
+    dim_lhs = n * n * d - span(L.completed_basis() + R.completed_basis()).rank()
 
-    vr = column_space(R)
-    vl = row_space(L)
-    _, reps_p, red_p = _module_quotient_data(A, n, vr)  # P = A^n / V(R)
-    _, reps_q, red_q = _module_quotient_data(A, n, vl)  # Q = A^n / V(L)
-
-    def vec_p(i):
-        v = [Fraction(0)] * (n * d)
-        v[i] = Fraction(1)
-        return red_p(v)
-
-    def vec_q(i):
-        v = [Fraction(0)] * (n * d)
-        v[i] = Fraction(1)
-        return red_q(v)
-
-    def a_act(vec, t, reducer):
-        # componentwise A-multiplication by basis element e_t
-        out = []
-        for c in range(n):
-            entry = tuple(vec[c * d : (c + 1) * d])
-            out.extend(A.mul(A.basis_vec(t), entry))
-        return reducer(out)
-
-    np_, nq = len(reps_p), len(reps_q)
+    np_, act_p = _quotient_action(A, n, _side_space(R, rows=False))  # P = A^n / V(R)
+    nq, act_q = _quotient_action(A, n, _side_space(L, rows=True))  # Q = A^n / V(L)
     # tensor over Q first; then impose (a p) (x) q - p (x) (a q)
-    relations = []
+    relations = Echelon()
     for t in range(d):
-        for ip, gi in enumerate(reps_p):
-            p_img = a_act(vec_p(gi), t, red_p)
-            for iq, gj in enumerate(reps_q):
-                q_img = a_act(vec_q(gj), t, red_q)
-                row = [Fraction(0)] * (np_ * nq)
-                # (a p) (x) q
-                for pp, c1 in _coords(p_img, reps_p):
-                    row[pp * nq + iq] += c1
-                # - p (x) (a q)
-                for qq, c2 in _coords(q_img, reps_q):
-                    row[ip * nq + qq] -= c2
-                if any(row):
-                    relations.append(row)
-    dim_rhs = np_ * nq - (rank(relations) if relations else 0)
+        for ip, p_img in enumerate(act_p[t]):
+            for iq, q_img in enumerate(act_q[t]):
+                row = {pp * nq + iq: c for pp, c in p_img.items()}
+                for qq, c in q_img.items():
+                    key = ip * nq + qq
+                    row[key] = row.get(key, 0) - c
+                relations.insert({k: v for k, v in row.items() if v})
+    dim_rhs = np_ * nq - relations.rank()
     return dim_lhs, dim_rhs, dim_lhs == dim_rhs
-
-
-def _coords(reduced_vec, reps):
-    out = []
-    for idx, pos in enumerate(reps):
-        if reduced_vec[pos]:
-            out.append((idx, reduced_vec[pos]))
-    # sanity: nothing outside coset representatives
-    return out
 
 
 # ---------------------------------------------------------------------------

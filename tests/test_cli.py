@@ -140,10 +140,13 @@ def test_verify_cli(tmp_path, capsys):
     with open(out_path) as fh:
         rows = json.load(fh)
     assert len(rows) == 5 and all(r["equal"] for r in rows)
-    # no seeds would be a vacuous pass
-    for seeds in ("0", "-2"):
-        assert main(["verify", "cor-lr", "--seeds", seeds]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+    # no seeds would be a vacuous pass; --dimA 0 used to run algebras of
+    # dimension >= 1 and record 0, and --n 0 ended in an error from randrange
+    for flag in ("--seeds", "--dimA", "--n"):
+        for value in ("0", "-2"):
+            assert main(["verify", "cor-lr", "--seeds", "1", flag, value]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and flag in err
 
 
 def test_missing_file_is_bad_input():

@@ -73,8 +73,24 @@ def test_unstable_flag_is_honest():
 
 
 def test_stabilization_error_when_budget_exhausted():
-    with pytest.raises(StabilizationError):
+    # the first window of L(7,1) is 9: a budget of 3 tries no window at all,
+    # so it is bad input, not a failure to stabilize
+    with pytest.raises(SkeinError, match="first window 9") as info:
         dim_K_q(7, 1, max_truncation=3)
+    assert not isinstance(info.value, StabilizationError)
+
+
+def test_stabilization_error_reports_the_windows_it_tried(monkeypatch):
+    # no small lens space has disagreeing windows at the start, so stub the
+    # elimination with windows whose dimensions never agree
+    def disagreeing(gluing, field, start):
+        for M in itertools.count(start):
+            yield M, M, []
+
+    monkeypatch.setattr(heegaard, "_windows", disagreeing)
+    with pytest.raises(StabilizationError, match="by truncation 6") as info:
+        dim_K_q(3, 1, max_truncation=6)
+    assert info.value.dims_by_truncation == {5: 5, 6: 6, 7: 7, 8: 8}
 
 
 def test_lens_at_root_of_unity():
@@ -98,12 +114,12 @@ def test_generic_elimination_keeps_int_coefficients(monkeypatch):
     # may hold a Fraction coefficient
     made = []
 
-    class Recording(heegaard._PairEchelon):
+    class Recording(heegaard._LaurentEchelon):
         def __init__(self, field):
             super().__init__(field)
             made.append(self)
 
-    monkeypatch.setattr(heegaard, "_PairEchelon", Recording)
+    monkeypatch.setattr(heegaard, "_LaurentEchelon", Recording)
     rep = lens_module(3, 1, GenericQ())
     # one relation echelon, and one copy per window to test its classes on
     assert rep.dimension == 2 and len(made) == 4
@@ -138,7 +154,7 @@ def test_incremental_windows_match_fresh_eliminations(p, q, tag):
 
 
 def test_echelon_copy_leaves_original_untouched():
-    ech = heegaard._PairEchelon(F)
+    ech = heegaard._LaurentEchelon(F)
     one = F.one()
     assert ech.insert({(0, 0): one, (1, 0): F.q_power(2)})
     assert ech.insert({(0, 1): one})

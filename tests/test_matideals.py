@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from skeinlab.errors import SkeinError
-from skeinlab.linalg import in_span
+from skeinlab.linalg import span, sparse
 from skeinlab.matideals import (
     FinAlg,
     MatIdeal,
@@ -88,12 +88,13 @@ def test_row_space_identity():
         completed = L.completed_basis()
         v = row_space(L)
         assert len(completed) == n * len(v)
+        v_span = span(v)
         d = algebra.dim
         for flat in completed:
             for i in range(n):
                 row_vec = flat[i * n * d : (i + 1) * n * d]
                 if any(row_vec) and v:
-                    assert in_span(row_vec, v)
+                    assert v_span.normal_form(sparse(row_vec)) == {}
 
 
 @pytest.mark.parametrize("seed", range(12))
