@@ -2,14 +2,28 @@
 multiplicities, and the specialization-vs-localization comparison for
 presented modules.
 
-A finite-dimensional commutative Q-algebra splits as a product of local
-factors. The splitting is computed by factoring minimal polynomials of
-multiplication operators over Q with ``upoly.factor`` (single variables
-first, then separating linear combinations) and cutting along kernels of the
-prime-power factors. Factors are Q-local: a cluster of Galois-conjugate
-points is one factor and is never split heuristically; its ``point_count``
-is the residue-field degree and ``multiplicity`` the full Q-dimension of the
-factor, so multiplicities add up to the quotient dimension.
+A finite-dimensional commutative Q-algebra A = Q[x_1..x_n]/I splits as a
+product of local factors, one for each Galois orbit of its points over the
+algebraic closure. The split is one pass:
+
+- the trace form (b_i, b_j) -> Tr(L_{b_i b_j}) on the standard monomials has
+  rank s, the number of distinct points (Cox, Little, O'Shea, *Using
+  Algebraic Geometry*, ch. 2 section 5);
+- the linear form a = x_1 + lam x_2 + lam^2 x_3 + ... separates the points
+  when it takes s distinct values on them, that is, when the irreducible
+  factors over Q (``upoly.factor``) of the minimal polynomial of L_a have
+  degrees that sum to s. Two distinct points agree on a for at most n - 1
+  values of lam, the roots of a nonzero polynomial of degree at most n - 1,
+  so one of lam = 0, 1, ..., (n - 1) s (s - 1) / 2 separates;
+- for a separating a, each prime-power factor f^e of that minimal polynomial
+  cuts out one local factor, the kernel of f(L_a)^e, whose points are the
+  deg f conjugates on which a is a root of f.
+
+Factors are Q-local: a cluster of Galois-conjugate points is one factor; its
+``point_count`` is the residue-field degree and ``multiplicity`` the full
+Q-dimension of the factor, so multiplicities add up to the quotient dimension.
+Factors are sorted by their points and then their idempotents, an order that
+does not depend on the generators the ideal was given by.
 """
 
 from __future__ import annotations
@@ -113,162 +127,69 @@ def _block_minpoly(mat):
     return done
 
 
+def _point_count(ring):
+    """Number of distinct points over the algebraic closure: the rank of the
+    trace form. Column i of L_{b_j} holds the coordinates of b_i b_j, so
+    Tr(L_{b_i b_j}) is their dot product with the traces of the L_{b_k}."""
+    mats = [ring.mult_matrix(MultiPoly(ring.vars, {m: Fraction(1)})) for m in ring.standard_monomials]
+    traces = [sum(mat[t][t] for t in range(len(mat))) for mat in mats]
+    gram = [[sum(t * c for t, c in zip(traces, col)) for col in zip(*mat)] for mat in mats]
+    return span(gram).rank()
+
+
 def artinian_decompose(ring: QuotientRing):
     """Split a zero-dimensional quotient ring into Q-local factors."""
-    if ring.dimension() is None:
-        raise SkeinError("artinian decomposition needs a finite-dimensional quotient")
     d = ring.dimension()
+    if d is None:
+        raise SkeinError("artinian decomposition needs a finite-dimensional quotient")
     if d == 0:
         return []
     tables = ring.mult_tables()
-
-    # ambient coordinates: standard monomial basis; blocks are row bases
-    blocks = [identity(d)]
-
-    def split_by(op_matrix, blocks):
-        out = []
-        for basis_rows in blocks:
-            sub = _restrict(op_matrix, basis_rows)
-            mp = _block_minpoly(sub)
-            factors = upoly.factor(mp)
-            if len(factors) == 1:
-                out.append(basis_rows)
-                continue
-            for fc, e in factors:
-                pw = [Fraction(1)]
-                for _ in range(e):
-                    pw = upoly.mul(pw, fc)
-                m = _poly_of_matrix(pw, sub)
-                # kernel inside the block, lifted to ambient rows: block vector
-                # j goes in as its image (column j of m) tagged with its ambient
-                # row, so the rows left with only tags span the lifted kernel
-                ker = Echelon()
-                for j, amb in enumerate(basis_rows):
-                    row = {i: m[i][j] for i in range(len(sub)) if m[i][j]}
-                    row.update({-1 - a: x for a, x in enumerate(amb) if x})
-                    ker.insert(row)
-                lifted = [row for lead, row in ker.pivots.items() if lead < 0]
-                out.append([dense({-1 - k: x for k, x in row.items()}, d) for row in lifted])
-        return out
-
-    for v in ring.vars:
-        blocks = split_by(tables[v], blocks)
-
-    # separate any block that is still a product (same single-variable minimal
-    # polynomials, different points): refine with generic linear combinations
-    def is_local(basis_rows):
-        return _residue_data(ring, tables, basis_rows) is not None
-
-    lam = 1
-    while True:
-        pending = [b for b in blocks if not is_local(b)]
-        if not pending:
+    s = _point_count(ring)
+    n = len(ring.vars)
+    for lam in range((n - 1) * s * (s - 1) // 2 + 1):
+        weights = [(lam**i, tables[v]) for i, v in enumerate(ring.vars)]
+        form = [[sum(w * t[r][c] for w, t in weights) for c in range(d)] for r in range(d)]
+        primes = upoly.factor(_block_minpoly(form))
+        if sum(len(f) - 1 for f, _ in primes) == s:
             break
-        combo = [[Fraction(0)] * d for _ in range(d)]
-        for i, v in enumerate(ring.vars):
-            combo = [
-                [a + Fraction(lam**i) * b for a, b in zip(ra, rb)]
-                for ra, rb in zip(combo, tables[v])
-            ]
-        blocks = split_by(combo, blocks)
-        lam += 1
-        if lam > 8 + d:  # pragma: no cover
-            raise SkeinError("failed to separate local factors")
+    else:  # pragma: no cover - some lam in the range separates
+        raise SkeinError("no separating linear form")
 
-    factors = []
+    # the kernel of f(L_a)^e: ambient vector j goes in as its image (column j)
+    # tagged with -1 - j, so the rows left with only tags span the kernel
+    blocks = []
+    for f, e in primes:
+        pw = [Fraction(1)]
+        for _ in range(e):
+            pw = upoly.mul(pw, f)
+        m = _poly_of_matrix(pw, form)
+        ker = Echelon()
+        for j in range(d):
+            row = {i: m[i][j] for i in range(d) if m[i][j]}
+            row[-1 - j] = Fraction(1)
+            ker.insert(row)
+        kernel = [row for lead, row in ker.pivots.items() if lead < 0]
+        blocks.append([dense({-1 - k: x for k, x in row.items()}, d) for row in kernel])
+
+    # idempotents: the components of 1 along the direct sum of the blocks
     unit = ring.coords(MultiPoly.constant(ring.vars, Fraction(1)))
-    for basis_rows in blocks:
-        data = _residue_data(ring, tables, basis_rows)
-        assert data is not None
-        residue_dim = data
-        mult = len(basis_rows)
+    split = iter(coordinates([row for rows in blocks for row in rows])(unit))
+    factors = []
+    for (f, _), rows in zip(primes, blocks):
+        idem = [Fraction(0)] * d
+        for row in rows:
+            c = next(split)
+            if c:
+                idem = [a + c * b for a, b in zip(idem, row)]
         point = {}
         for v in ring.vars:
-            sub = _restrict(tables[v], basis_rows)
-            mp = _block_minpoly(sub)
-            facs = upoly.factor(mp)
-            assert len(facs) == 1
-            point[v] = tuple(facs[0][0])
-        # idempotent: component of 1 in this block along the others
-        others = [row for b in blocks if b is not basis_rows for row in b]
-        idem = _project(unit, basis_rows, others)
-        factors.append(
-            LocalFactor(
-                point,
-                mult,
-                residue_dim,
-                mult // residue_dim,
-                [list(r) for r in basis_rows],
-                idem,
-            )
-        )
-    factors.sort(key=lambda f: sorted(f.point.items()))
+            [(g, _)] = upoly.factor(_block_minpoly(_restrict(tables[v], rows)))
+            point[v] = tuple(g)
+        mult, count = len(rows), len(f) - 1
+        factors.append(LocalFactor(point, mult, count, mult // count, rows, idem))
+    factors.sort(key=lambda fac: (sorted(fac.point.items()), fac.idempotent))
     return factors
-
-
-def _project(vec, block_rows, other_rows):
-    """Component of vec in span(block_rows) along span(other_rows)."""
-    sol = coordinates(list(block_rows) + list(other_rows))(vec)
-    if sol is None:
-        raise SkeinError("vector not in the direct sum of blocks")
-    out = [Fraction(0)] * len(vec)
-    for c, row in zip(sol[: len(block_rows)], block_rows):
-        if c:
-            out = [a + c * b for a, b in zip(out, row)]
-    return out
-
-
-def _residue_data(ring, tables, basis_rows):
-    """Residue-field dimension if the block algebra is local, else None.
-
-    The radical of a finite-dimensional commutative Q-algebra is the kernel
-    of the trace form; the block is local exactly when the semisimple part
-    is a field, detected by a primitive element whose minimal polynomial is
-    irreducible of full residue degree.
-    """
-    dsub = len(basis_rows)
-    subs = {v: _restrict(tables[v], basis_rows) for v in ring.vars}
-    # multiplication matrices of the block algebra in its own basis: the
-    # product of two block elements computed through ambient normal forms
-    amb_elems = [ring.from_coords(row) for row in basis_rows]
-    coords = coordinates(basis_rows)
-    mat_cols = {}
-    for j, bj in enumerate(amb_elems):
-        col = []
-        for i, bi in enumerate(amb_elems):
-            sol = coords(ring.coords(bi * bj))
-            if sol is None:
-                raise SkeinError("block not closed under multiplication")
-            col.append(sol)
-        mat_cols[j] = col
-    mult_mats = []
-    for i in range(dsub):
-        mult_mats.append([[mat_cols[j][i][t] for j in range(dsub)] for t in range(dsub)])
-    # mult_mats[i] = matrix of multiplication by e_i on the block
-    gram = [
-        [sum(mat_mul(mult_mats[i], mult_mats[j])[t][t] for t in range(dsub)) for j in range(dsub)]
-        for i in range(dsub)
-    ]
-    res_dim = span(gram).rank()  # dsub minus the radical, the trace form's kernel
-    # local iff the semisimple quotient is a field: one orbit iff some small
-    # integer combination of coordinates has an irreducible minimal polynomial
-    # of degree res_dim on the semisimple quotient
-    for lam in range(0, 8 + dsub):
-        combo = [[Fraction(0)] * dsub for _ in range(dsub)]
-        for i, v in enumerate(ring.vars):
-            combo = [
-                [a + Fraction(lam**i if lam else (1 if i == 0 else 0)) * b for a, b in zip(ra, rb)]
-                for ra, rb in zip(combo, subs[v])
-            ]
-        mp = _block_minpoly(combo)
-        facs = upoly.factor(mp)
-        if len(facs) == 1:
-            fc, e = facs[0]
-            if len(fc) - 1 == res_dim:
-                return res_dim
-        else:
-            return None  # splits further: not local
-    return None
 
 
 def local_multiplicity(ideal: PolyIdeal, point, max_power: int = 24) -> int:

@@ -35,6 +35,10 @@ class PolyIdeal:
 
     def __init__(self, variables, generators):
         self.vars = tuple(variables)
+        if not self.vars:
+            raise SkeinError("an ideal needs at least one variable")
+        if len(set(self.vars)) != len(self.vars):
+            raise SkeinError(f"repeated variable in {list(self.vars)}")
         gens = []
         for g in generators:
             if g.vars != self.vars:

@@ -1,7 +1,8 @@
 """Exact linear algebra over any of the coefficient fields.
 
-Matrices are lists of rows; scalars are Fractions (or any field scalar with
-operator arithmetic plus a field object supplying inv/zero/one).
+Matrices are lists of rows of Fractions. ``Echelon`` also takes any other
+field: scalars with operator arithmetic plus a field object supplying
+inv/zero/one.
 
 Every elimination over a field goes through one kernel, ``Echelon``: a
 sparse row echelon form built one row at a time. Rank, membership, normal
@@ -35,9 +36,9 @@ class QQ:
         return 1 / Fraction(x)
 
 
-def mat_mul(a, b, field=QQ):
+def mat_mul(a, b):
     n, k, m = len(a), len(b), len(b[0]) if b else 0
-    out = [[field.zero() for _ in range(m)] for _ in range(n)]
+    out = [[Fraction(0) for _ in range(m)] for _ in range(n)]
     for i in range(n):
         ai = a[i]
         oi = out[i]
@@ -51,15 +52,15 @@ def mat_mul(a, b, field=QQ):
     return out
 
 
-def mat_vec(a, v, field=QQ):
+def mat_vec(a, v):
     return [
-        sum((a[i][j] * v[j] for j in range(len(v)) if v[j]), field.zero())
+        sum((a[i][j] * v[j] for j in range(len(v)) if v[j]), Fraction(0))
         for i in range(len(a))
     ]
 
 
-def identity(n, field=QQ):
-    return [[field.one() if i == j else field.zero() for j in range(n)] for i in range(n)]
+def identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 class Echelon:
@@ -140,28 +141,28 @@ def sparse(vec):
     return {j: x for j, x in enumerate(vec) if x}
 
 
-def dense(row, size, field=QQ):
-    zero = field.zero()
+def dense(row, size):
+    zero = Fraction(0)
     return [row.get(j, zero) for j in range(size)]
 
 
-def span(vectors, field=QQ):
+def span(vectors):
     """Echelon of the span of dense vectors."""
-    ech = Echelon(field)
+    ech = Echelon()
     for v in vectors:
         ech.insert(sparse(v))
     return ech
 
 
-def coordinates(basis_rows, field=QQ):
+def coordinates(basis_rows):
     """Function giving the coefficients of a dense vector against the linearly
     independent dense ``basis_rows``, or None for a vector outside their span.
 
     Row t goes in with the tag key -1 - t, so the normal form of a vector in
     the span is minus its coefficients on the tags.
     """
-    ech = Echelon(field)
-    one, zero = field.one(), field.zero()
+    ech = Echelon()
+    one, zero = Fraction(1), Fraction(0)
     for t, r in enumerate(basis_rows):
         row = sparse(r)
         row[-1 - t] = one
@@ -176,15 +177,15 @@ def coordinates(basis_rows, field=QQ):
     return coords
 
 
-def minimal_polynomial(apply_fn, vec, dim, field=QQ):
+def minimal_polynomial(apply_fn, vec, dim):
     """Monic minimal polynomial of an operator on the cyclic space of vec.
 
     apply_fn maps a vector to its image; returns ascending coefficients.
     Krylov vector t goes in with the tag -1 - t, so the first one whose normal
     form has no column left reads the relation off its tags.
     """
-    ech = Echelon(field)
-    one, zero = field.one(), field.zero()
+    ech = Echelon()
+    one, zero = Fraction(1), Fraction(0)
     w = list(vec)
     row = sparse(w)
     for t in range(dim + 1):

@@ -187,7 +187,11 @@ class MultiPoly:
 
     @classmethod
     def from_json(cls, variables, data):
-        return cls(variables, {tuple(e): Fraction(c) for e, c in data["terms"]})
+        terms = {tuple(e): Fraction(c) for e, c in data["terms"]}
+        for e in terms:
+            if any(type(k) is not int or k < 0 for k in e):
+                raise SkeinError(f"exponents must be non-negative integers, got {list(e)}")
+        return cls(variables, terms)
 
     def __str__(self):
         if not self.terms:

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from skeinlab import upoly
+from skeinlab.acceptance import _random_artinian_ring
 from skeinlab.artinian import (
     PresentedModule,
     artinian_decompose,
@@ -61,6 +63,57 @@ def test_galois_stable_pairs_separate():
     factors = artinian_decompose(ring)
     assert sorted(f.multiplicity for f in factors) == [2, 2]
     assert all(f.point_count == 2 for f in factors)
+
+
+def test_three_square_roots_need_a_combination():
+    # the 8 points (+-r, +-r, +-r), r^2 = 2, form 4 conjugate pairs; every
+    # pair has the same minimal polynomial t^2 - 2 in each variable, so no
+    # single variable separates them and the split needs lam >= 1
+    vs = V("x", "y", "z")
+    x, y, z = (var(vs, v) for v in vs)
+    ring = buchberger(PolyIdeal(vs, [x * x - 2, y * y - 2, z * z - 2]))
+    factors = artinian_decompose(ring)
+    assert len(factors) == 4
+    for f in factors:
+        assert f.point_count == 2 and f.multiplicity == 2 and f.point_multiplicity == 1
+        assert all(tuple(f.point[v]) == (-2, 0, 1) for v in vs)
+
+
+def test_tied_clusters_come_out_in_canonical_order():
+    # (r, r) double and (r, -r) simple for r^2 = 2: two factors with the same
+    # per-variable minimal polynomials, ordered by their idempotents
+    vs = V("x", "y")
+    x, y = var(vs, "x"), var(vs, "y")
+    gens = [x * x - 2, (y - x) ** 2 * (y + x), (x * x - 2) * (y + 1)]
+    reference = None
+    for perm in permutations(gens):
+        factors = artinian_decompose(buchberger(PolyIdeal(vs, list(perm))))
+        keys = [(sorted(f.point.items()), f.idempotent) for f in factors]
+        assert keys == sorted(keys)
+        got = ([f.to_json() for f in factors], [f.idempotent for f in factors])
+        if reference is None:
+            reference = got
+        assert got == reference
+    assert sorted(f["multiplicity"] for f in reference[0]) == [2, 4]
+    assert reference[0][0]["point"] == reference[0][1]["point"]
+
+
+def test_point_multiplicity_matches_fat_point_powers():
+    # criterion 12's rings have rational points only; local_multiplicity gets
+    # the same number from quotients by powers of the point's ideal
+    rng = random.Random(24)
+    seen = []
+    for _ in range(8):
+        ring = _random_artinian_ring(rng)
+        if not ring.dimension():
+            continue
+        ideal = PolyIdeal(ring.vars, ring.groebner)
+        for f in artinian_decompose(ring):
+            assert f.point_count == 1
+            point = [-f.point[v][0] for v in ring.vars]
+            assert local_multiplicity(ideal, point) == f.point_multiplicity
+            seen.append(f.point_multiplicity)
+    assert sorted(set(seen)) == [1, 2, 3, 4]
 
 
 def test_multiplicity_sums_on_random_rings():

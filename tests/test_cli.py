@@ -180,3 +180,21 @@ def test_json_of_wrong_shape_is_bad_input(tmp_path, capsys):
     ):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("error:"), argv
+
+
+def test_malformed_ideals_are_bad_input(tmp_path, capsys):
+    # each of these used to exit 0: x^-1 as the unit ideal ("dimension 0"),
+    # x^1.5 - 4 as x - 4, a repeated or an empty variable list as an
+    # infinite quotient
+    ideals = {
+        "negative": {"vars": ["x"], "gens": [{"terms": [[[-1], "1"]]}]},
+        "fractional": {"vars": ["x"], "gens": [{"terms": [[[1.5], "1"], [[0], "-4"]]}]},
+        "repeated": {"vars": ["x", "x"], "gens": [{"terms": [[[2, 0], "1"], [[0, 0], "-1"]]}]},
+        "empty": {"vars": [], "gens": []},
+    }
+    for name, ideal in ideals.items():
+        path = write(tmp_path / f"{name}.json", ideal)
+        for command in ("groebner", "decompose"):
+            assert main([command, path]) == 2, (name, command)
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error:"), (name, command)

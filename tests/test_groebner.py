@@ -5,6 +5,7 @@ from itertools import permutations
 import pytest
 
 from skeinlab.charring import GroupPresentation, character_ideal
+from skeinlab.errors import SkeinError
 from skeinlab.groebner import PolyIdeal, buchberger, _s_poly
 from skeinlab.multipoly import ORDERS, MultiPoly, monomial_divides
 
@@ -172,3 +173,18 @@ def test_ideal_json_round_trip():
     again = PolyIdeal.from_json(ideal.to_json())
     assert again.vars == ideal.vars
     assert [g.terms for g in again.generators] == [g.terms for g in ideal.generators]
+
+
+def test_ideal_rejects_bad_variable_lists():
+    # a repeated name used to give an "infinite" quotient, and no variables
+    # at all reported Q itself, of dimension 1, as infinite
+    for variables in (("x", "x"), ()):
+        with pytest.raises(SkeinError):
+            PolyIdeal(variables, [])
+
+
+def test_from_json_rejects_exponents_that_are_not_natural_numbers():
+    # x^-1 used to be read as a generator of the unit ideal, x^1.5 and x^true as x
+    for exponent in (-1, 1.5, True):
+        with pytest.raises(SkeinError):
+            MultiPoly.from_json(("x",), {"terms": [[[exponent], "1"]]})
