@@ -123,10 +123,7 @@ def _trace(key: str) -> MultiPoly:
     elif n == 1:
         poly = MultiPoly.variable(V, "x" if key in "aA" else "y")
     elif n == 2 and key.lower() in ("ab", "ba"):
-        lo = key.lower()
-        if key == lo:  # ab, ba
-            poly = MultiPoly.variable(V, "z")
-        elif key == key.upper():  # AB, BA are inverses of ba, ab
+        if key in ("ab", "ba", "AB", "BA"):  # AB, BA are inverses of ba, ab
             poly = MultiPoly.variable(V, "z")
         else:
             # one letter inverted: tr(a b^-1) = x y - z

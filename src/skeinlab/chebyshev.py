@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import upoly
 from .diagrams import AnnulusSkein
 
 # dense ascending integer coefficients; table is append-only and read-mostly
@@ -92,21 +93,8 @@ def cheb_expand_power(k: int) -> dict[int, int]:
 
 
 def thread_annulus(s: AnnulusSkein, m: int) -> AnnulusSkein:
-    """tau_m on the solid torus: z^k -> T_m(z)^k, re-expanded in the z basis."""
+    """tau_m on the solid torus: z^k -> T_m(z)^k, that is, the z-polynomial
+    of ``s`` composed with T_m."""
     if m < 1:
         raise ValueError("threading index must be positive")
-    field = s.field
-    tm = cheb_T(m)
-    tm_skein = AnnulusSkein(field, {e: field.from_int(c) for e, c in enumerate(tm.coeffs) if c})
-    powers = {0: AnnulusSkein.one(field)}
-    out = AnnulusSkein.zero(field)
-    for k, coeff in s.items():
-        if k not in powers:
-            j = max(powers)
-            acc = powers[j]
-            while j < k:
-                acc = acc.mul(tm_skein)
-                j += 1
-                powers[j] = acc
-        out = out + powers[k].scale(coeff)
-    return out
+    return AnnulusSkein(s.field, enumerate(upoly.compose(s.dense(), cheb_T(m).coeffs)))

@@ -1,5 +1,7 @@
 """Exact coefficient arithmetic: Laurent polynomials, rational functions in q,
-cyclotomic fields Q(zeta_n), and root-of-unity bookkeeping.
+cyclotomic fields Q(zeta_n), root-of-unity bookkeeping, and ``Combination``,
+the finite linear combination over a field that the solid-torus and torus
+skeins are built on.
 
 Every scalar here is immutable and exact (arbitrary precision rationals, no
 floats). Equality is coefficient-wise on canonical forms:
@@ -21,8 +23,8 @@ import math
 from fractions import Fraction
 
 from . import upoly
-from .errors import FourDividesOrderError, SkeinError
-from .upoly import frac_str
+from .errors import FieldMismatchError, FourDividesOrderError, SkeinError
+from .upoly import frac_from_json, frac_str, int_from_json
 
 
 def _canon(c):
@@ -168,18 +170,12 @@ class LaurentPoly:
     def from_poly(cls, coeffs, shift=0):
         return cls({i + shift: c for i, c in enumerate(coeffs) if c})
 
-    def evaluate(self, x: Fraction) -> Fraction:
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            total += c * (Fraction(x) ** e)
-        return total
-
     def to_json(self):
         return {"terms": [[e, frac_str(c)] for e, c in sorted(self.terms.items())]}
 
     @classmethod
     def from_json(cls, data):
-        return cls({int(e): Fraction(c) for e, c in data["terms"]})
+        return cls({int_from_json(e): frac_from_json(c) for e, c in data["terms"]})
 
     def __str__(self):
         if not self.terms:
@@ -482,7 +478,7 @@ class CyclotomicScalar:
 
     @classmethod
     def from_json(cls, data):
-        return cls(int(data["n"]), [Fraction(c) for c in data["coeffs"]])
+        return cls(int_from_json(data["n"]), [frac_from_json(c) for c in data["coeffs"]])
 
     def __str__(self):
         if not self:
@@ -627,7 +623,7 @@ class Rationals(CoeffField):
         return frac_str(Fraction(x))
 
     def scalar_from_json(self, data):
-        return Fraction(data)
+        return frac_from_json(data)
 
 
 class GenericQ(CoeffField):
@@ -685,7 +681,10 @@ class ZetaField(CoeffField):
         return x.to_json()
 
     def scalar_from_json(self, data):
-        return CyclotomicScalar.from_json(data)
+        x = CyclotomicScalar.from_json(data)
+        if x.n != self.n:
+            raise ValueError(f"a scalar of Q(zeta_{x.n}) in the field {self.tag}")
+        return x
 
 
 def field_from_tag(tag: str) -> CoeffField:
@@ -715,3 +714,113 @@ def specialize_scalar(x, field: CoeffField):
     if not den:
         raise ZeroDivisionError("denominator vanishes under specialization")
     return num * field.inv(den)
+
+
+# ---------------------------------------------------------------------------
+# linear combinations
+
+
+class Combination:
+    """Finite linear combination sum_k c_k * k over one coefficient field.
+
+    ``coeffs`` maps each key to a nonzero scalar of ``field``. A subclass
+    names its keys: ``_key`` checks and normalizes a key, and ``_key_str``
+    gives its text form ("" for a key that prints as the bare scalar). In
+    JSON a term is the key's parts followed by the scalar; ``_key_json`` and
+    ``_key_from_json`` map a key to its parts and back, a tuple key by default.
+    """
+
+    __slots__ = ("field", "coeffs")
+    _key_json = _key_from_json = staticmethod(tuple)
+
+    def __init__(self, field: CoeffField, coeffs=None):
+        self.field = field
+        out = {}
+        if isinstance(coeffs, dict):
+            coeffs = coeffs.items()
+        for k, v in coeffs or ():
+            k = self._key(k)
+            if v:
+                cur = out.get(k)
+                v = v if cur is None else cur + v
+                if v:
+                    out[k] = v
+                else:
+                    del out[k]
+        self.coeffs = out
+
+    @classmethod
+    def zero(cls, field):
+        return cls(field)
+
+    def _new(self, coeffs):
+        """A combination of the same kind and field holding ``coeffs`` as is."""
+        r = object.__new__(type(self))
+        r.field = self.field
+        r.coeffs = coeffs
+        return r
+
+    def check_field(self, other):
+        if self.field is not other.field and self.field != other.field:
+            raise FieldMismatchError(
+                f"mixed coefficient fields {self.field.tag} and {other.field.tag}"
+            )
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.field == other.field and self.coeffs == other.coeffs
+
+    def __add__(self, other):
+        self.check_field(other)
+        out = dict(self.coeffs)
+        for k, v in other.coeffs.items():
+            s = out.get(k)
+            s = v if s is None else s + v
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+        return self._new(out)
+
+    def __neg__(self):
+        return self._new({k: -v for k, v in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, scalar):
+        if not scalar:
+            return self._new({})
+        return self._new({k: v * scalar for k, v in self.coeffs.items()})
+
+    def items(self):
+        return sorted(self.coeffs.items())
+
+    def to_json(self):
+        scalar = self.field.scalar_to_json
+        return {
+            "field": self.field.tag,
+            "terms": [[*self._key_json(k), scalar(v)] for k, v in self.items()],
+        }
+
+    @classmethod
+    def from_json(cls, data, field=None):
+        """Read ``to_json`` output; a given ``field`` overrides the tag in ``data``."""
+        fld = field if field is not None else field_from_tag(data["field"])
+        return cls(fld, [(cls._key_from_json(k), fld.scalar_from_json(v)) for *k, v in data["terms"]])
+
+    def __str__(self):
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for k, v in self.items():
+            name = self._key_str(k)
+            parts.append(f"({v})*{name}" if name else f"({v})")
+        return " + ".join(parts)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"

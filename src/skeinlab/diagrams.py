@@ -26,8 +26,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeffs import CoeffField
+from . import upoly
+from .coeffs import CoeffField, Combination
 from .errors import DiagramError
+from .upoly import int_from_json
 
 DISK = "disk"
 ANNULUS = "annulus"
@@ -42,10 +44,10 @@ class FramedDiagram:
         if surface not in (DISK, ANNULUS):
             raise DiagramError(f"unknown surface {surface!r}")
         self.surface = surface
-        self.crossings = tuple(tuple(int(a) for a in c) for c in crossings)
-        self.free_loops = int(free_loops)
-        self.free_cores = int(free_cores)
-        self.winding_marks = {int(k): int(v) for k, v in (winding_marks or {}).items()}
+        self.crossings = tuple(tuple(int_from_json(a) for a in c) for c in crossings)
+        self.free_loops = int_from_json(free_loops)
+        self.free_cores = int_from_json(free_cores)
+        self.winding_marks = {int_from_json(k): int_from_json(v) for k, v in (winding_marks or {}).items()}
         self.validate()
 
     def validate(self):
@@ -104,30 +106,29 @@ class FramedDiagram:
         )
 
 
-class AnnulusSkein:
+class AnnulusSkein(Combination):
     """Finite sum sum_k c_k z^k over a coefficient field; z^0 is the empty link."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, field: CoeffField, coeffs=None):
-        self.field = field
-        self.coeffs = {}
-        if coeffs:
-            for k, v in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
-                if v:
-                    k = int(k)
-                    if k < 0:
-                        raise ValueError("negative core power")
-                    cur = self.coeffs.get(k)
-                    v = v if cur is None else cur + v
-                    if v:
-                        self.coeffs[k] = v
-                    elif k in self.coeffs:
-                        del self.coeffs[k]
+    @staticmethod
+    def _key(k):
+        if type(k) is not int or k < 0:
+            raise ValueError(f"a core power is a non-negative integer, got {k!r}")
+        return k
 
-    @classmethod
-    def zero(cls, field):
-        return cls(field)
+    @staticmethod
+    def _key_json(k):
+        return (k,)
+
+    @staticmethod
+    def _key_from_json(parts):
+        (k,) = parts
+        return k
+
+    @staticmethod
+    def _key_str(k):
+        return "" if k == 0 else ("z" if k == 1 else f"z^{k}")
 
     @classmethod
     def one(cls, field):
@@ -140,88 +141,19 @@ class AnnulusSkein:
     def degree(self):
         return max(self.coeffs) if self.coeffs else 0
 
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, AnnulusSkein):
-            return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            s = out.get(k)
-            s = v if s is None else s + v
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-        r = AnnulusSkein(self.field)
-        r.coeffs = out
-        return r
-
-    def __neg__(self):
-        r = AnnulusSkein(self.field)
-        r.coeffs = {k: -v for k, v in self.coeffs.items()}
-        return r
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, scalar):
-        if not scalar:
-            return AnnulusSkein(self.field)
-        r = AnnulusSkein(self.field)
-        r.coeffs = {k: v * scalar for k, v in self.coeffs.items()}
-        return r
+    def dense(self):
+        """Ascending z-coefficients, 0 for a missing power: the ``upoly`` form."""
+        c = self.coeffs
+        return [c.get(k, 0) for k in range(max(c) + 1)] if c else []
 
     def shift(self, j):
         """Multiply by z^j."""
-        r = AnnulusSkein(self.field)
-        r.coeffs = {k + j: v for k, v in self.coeffs.items()}
-        return r
+        return self._new({k + j: v for k, v in self.coeffs.items()})
 
     def mul(self, other):
         """Product in the solid-torus skein algebra (polynomials in z)."""
-        out = AnnulusSkein(self.field)
-        acc = {}
-        for k1, v1 in self.coeffs.items():
-            for k2, v2 in other.coeffs.items():
-                k = k1 + k2
-                s = acc.get(k)
-                p = v1 * v2
-                acc[k] = p if s is None else s + p
-        out.coeffs = {k: v for k, v in acc.items() if v}
-        return out
-
-    def items(self):
-        return sorted(self.coeffs.items())
-
-    def to_json(self):
-        return {
-            "field": self.field.tag,
-            "terms": [[k, self.field.scalar_to_json(v)] for k, v in self.items()],
-        }
-
-    @classmethod
-    def from_json(cls, data, field=None):
-        from .coeffs import field_from_tag
-
-        fld = field if field is not None else field_from_tag(data["field"])
-        return cls(fld, {int(k): fld.scalar_from_json(v) for k, v in data["terms"]})
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k, v in self.items():
-            zs = "" if k == 0 else ("z" if k == 1 else f"z^{k}")
-            parts.append(f"({v}){'*' if zs else ''}{zs}")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"AnnulusSkein({self})"
+        self.check_field(other)
+        return AnnulusSkein(self.field, enumerate(upoly.mul(self.dense(), other.dense())))
 
 
 # ---------------------------------------------------------------------------

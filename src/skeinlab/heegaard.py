@@ -193,15 +193,8 @@ def _generator_pairs(gluing: GluingMatrix, field: CoeffField):
         (normalize_label(p, q), (0, 1)),
         (normalize_label(r, s), (1, 0)),
     ]
-    need_cross = False
-    if isinstance(field, Rationals):
-        need_cross = True  # q = +-1 makes q^2 - q^-2 vanish
-    else:
-        try:
-            field.inv(field.q_power(2) - field.q_power(-2))
-        except ZeroDivisionError:
-            need_cross = True
-    if need_cross:
+    # q = +-1 over the rationals makes q^2 - q^-2 vanish
+    if isinstance(field, Rationals) or not field.q_power(2) - field.q_power(-2):
         # (1,1) is a polynomial in meridian and longitude otherwise, so its
         # middle relations are implied; include it only when that fails
         pairs.append((normalize_label(p + r, q + s), (1, 1)))

@@ -17,23 +17,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .coeffs import Rationals
 
-class QQ:
-    """Minimal field object for Fractions, for callers outside coeffs."""
-
-    tag = "QQ"
-
-    @staticmethod
-    def zero():
-        return Fraction(0)
-
-    @staticmethod
-    def one():
-        return Fraction(1)
-
-    @staticmethod
-    def inv(x):
-        return 1 / Fraction(x)
+_QQ = Rationals()
 
 
 def mat_mul(a, b):
@@ -72,7 +58,7 @@ class Echelon:
     row is only read, never changed: ``copy`` relies on that.
     """
 
-    def __init__(self, field=QQ):
+    def __init__(self, field=_QQ):
         self.field = field
         self.pivots = {}  # pivot key -> stored row
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 from operator import add, le, sub
 
 from .errors import SkeinError
-from .upoly import frac_str, power
+from .upoly import frac_from_json, frac_str, power
 
 
 def lex_key(exps):
@@ -187,7 +187,7 @@ class MultiPoly:
 
     @classmethod
     def from_json(cls, variables, data):
-        terms = {tuple(e): Fraction(c) for e, c in data["terms"]}
+        terms = {tuple(e): frac_from_json(c) for e, c in data["terms"]}
         for e in terms:
             if any(type(k) is not int or k < 0 for k in e):
                 raise SkeinError(f"exponents must be non-negative integers, got {list(e)}")

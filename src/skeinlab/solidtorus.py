@@ -29,7 +29,6 @@ from __future__ import annotations
 from .chebyshev import cheb_expand_power
 from .coeffs import CoeffField
 from .diagrams import AnnulusSkein, bracket_annulus, pushed_curve_with_cores
-from .errors import DiagramError
 from .torus import TorusSkein, normalize_label
 
 
@@ -116,10 +115,7 @@ def act(a: TorusSkein, v: AnnulusSkein) -> AnnulusSkein:
     """Module action of a torus skein on a solid-torus skein."""
     if not isinstance(a, TorusSkein):
         raise TypeError("act expects a TorusSkein")
-    if a.field != v.field:
-        raise DiagramError(
-            f"field mismatch: skein over {a.field.tag}, module over {v.field.tag}"
-        )
+    a.check_field(v)
     cache = action_cache(v.field)
     out = AnnulusSkein.zero(v.field)
     for (p, q), coeff in a.coeffs.items():

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeffs import CoeffField, Rationals, RootSpec, ZetaField
-from .errors import FieldMismatchError, SkeinError
+from .coeffs import Combination, Rationals, RootSpec, ZetaField
+from .errors import SkeinError
 
 
 def normalize_label(p: int, q: int) -> tuple[int, int]:
@@ -26,28 +26,21 @@ def normalize_label(p: int, q: int) -> tuple[int, int]:
     return (p, q)
 
 
-class TorusSkein:
+class TorusSkein(Combination):
     """Finite combination of threaded (p,q) basis classes over a field."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, field: CoeffField, coeffs=None):
-        self.field = field
-        self.coeffs = {}
-        if coeffs:
-            for label, v in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
-                if v:
-                    label = normalize_label(*label)
-                    cur = self.coeffs.get(label)
-                    v = v if cur is None else cur + v
-                    if v:
-                        self.coeffs[label] = v
-                    elif label in self.coeffs:
-                        del self.coeffs[label]
+    @staticmethod
+    def _key(label):
+        p, q = label
+        if type(p) is not int or type(q) is not int:
+            raise ValueError(f"a curve label is a pair of integers, got {list(label)!r}")
+        return normalize_label(p, q)
 
-    @classmethod
-    def zero(cls, field):
-        return cls(field)
+    @staticmethod
+    def _key_str(label):
+        return "empty" if label == (0, 0) else f"({label[0]},{label[1]})"
 
     @classmethod
     def empty(cls, field):
@@ -58,83 +51,11 @@ class TorusSkein:
     def curve(cls, field, p, q, coeff=None):
         return cls(field, {(p, q): field.one() if coeff is None else coeff})
 
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, TorusSkein):
-            return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            s = out.get(k)
-            s = v if s is None else s + v
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-        r = TorusSkein(self.field)
-        r.coeffs = out
-        return r
-
-    def __neg__(self):
-        r = TorusSkein(self.field)
-        r.coeffs = {k: -v for k, v in self.coeffs.items()}
-        return r
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, scalar):
-        if not scalar:
-            return TorusSkein(self.field)
-        r = TorusSkein(self.field)
-        r.coeffs = {k: v * scalar for k, v in self.coeffs.items()}
-        return r
-
-    def _check(self, other):
-        if self.field != other.field:
-            raise FieldMismatchError(
-                f"mixed coefficient fields {self.field.tag} and {other.field.tag}"
-            )
-
-    def items(self):
-        return sorted(self.coeffs.items())
-
-    def to_json(self):
-        return {
-            "field": self.field.tag,
-            "terms": [[p, q, self.field.scalar_to_json(v)] for (p, q), v in self.items()],
-        }
-
-    @classmethod
-    def from_json(cls, data, field=None):
-        from .coeffs import field_from_tag
-
-        fld = field if field is not None else field_from_tag(data["field"])
-        return cls(fld, {(int(p), int(q)): fld.scalar_from_json(v) for p, q, v in data["terms"]})
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for (p, q), v in self.items():
-            name = "empty" if (p, q) == (0, 0) else f"({p},{q})"
-            parts.append(f"({v})*{name}")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"TorusSkein({self})"
-
 
 def torus_mul(a: TorusSkein, b: TorusSkein) -> TorusSkein:
     """Bilinear extension of the product-to-sum rule; q is the field's unit."""
-    a._check(b)
+    a.check_field(b)
     field = a.field
-    out = TorusSkein.zero(field)
     acc: dict[tuple[int, int], object] = {}
 
     def put(label, v):
@@ -160,8 +81,7 @@ def torus_mul(a: TorusSkein, b: TorusSkein) -> TorusSkein:
                     put((0, 0), coeff * 2)  # T_d at d=0 is the constant 2
                 else:
                     put(label, coeff)
-    out.coeffs = {k: v for k, v in acc.items() if v}
-    return out
+    return a._new({k: v for k, v in acc.items() if v})
 
 
 def commutator(a: TorusSkein, b: TorusSkein) -> TorusSkein:
@@ -180,14 +100,8 @@ def thread_torus(a: TorusSkein, spec: RootSpec) -> TorusSkein:
     if a.field.q_value is not None and a.field.q_value != Fraction(spec.epsilon):
         raise SkeinError("input epsilon does not match the root spec")
     target = ZetaField(spec.n)
-    out = TorusSkein.zero(target)
     m = spec.m
-    out.coeffs = {
-        ((0, 0) if lab == (0, 0) else normalize_label(lab[0] * m, lab[1] * m)): target.from_fraction(v)
-        for lab, v in a.coeffs.items()
-        if v
-    }
-    return out
+    return TorusSkein(target, {(p * m, q * m): target.from_fraction(v) for (p, q), v in a.coeffs.items()})
 
 
 def is_central(a: TorusSkein, bound: int) -> bool:

@@ -392,3 +392,23 @@ def _ext_gcd_mod(a, b, p):
 def frac_str(x) -> str:
     """Canonical text of a rational: "n" or "n/d" in lowest terms."""
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+
+
+def frac_from_json(x) -> Fraction:
+    """The rational that ``frac_str`` writes, read back from JSON.
+
+    Only an ``int`` or a string ("n", "n/d", "0.1") is accepted. A JSON float
+    is a binary fraction (0.1 would become 3602879701896397/36028797018963968),
+    so it is rejected, and so is a ``bool``.
+    """
+    if type(x) is not int and not isinstance(x, str):
+        raise ValueError(f"a rational must be an integer or a string, got {x!r}")
+    return Fraction(x)
+
+
+def int_from_json(x) -> int:
+    """``x`` when it is an ``int``; a float such as 1.5 or a ``bool`` is
+    rejected rather than truncated."""
+    if type(x) is not int:
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x

@@ -170,16 +170,49 @@ def test_json_of_wrong_shape_is_bad_input(tmp_path, capsys):
         tmp_path / "torus0.json",
         {"field": "generic", "terms": [[1, 0, {"num": {"terms": [[0, "1"]]}, "den": {"terms": []}}]]},
     )
-    for argv in (
+    # numbers that are not what they claim: JSON floats as rationals (0.1 is
+    # a binary fraction), non-integers and booleans as keys or counts
+    one = {"num": {"terms": [[0, "1"]]}}
+    wrong_numbers = {
+        "float_scalar": {"field": "rationals", "terms": [[1, 0.1]]},
+        "bool_scalar": {"field": "rationals", "terms": [[1, True]]},
+        "core_power": {"field": "rationals", "terms": [[1.5, "1"]]},
+        "laurent_exponent": {"field": "generic", "terms": [[0, {"num": {"terms": [[0.5, "1"]]}}]]},
+        "cyclotomic_order": {"field": "zeta:5", "terms": [[0, {"n": 5.0, "coeffs": ["1"]}]]},
+        "cyclotomic_field": {"field": "zeta:5", "terms": [[0, {"n": 3, "coeffs": ["1"]}]]},
+        "short_term": {"field": "rationals", "terms": [[]]},
+    }
+    wrong_labels = {
+        "bool_label": {"field": "generic", "terms": [[True, 0, one]]},
+        "float_label": {"field": "generic", "terms": [[1.5, 0, one]]},
+        "short_label": {"field": "generic", "terms": [[1, one]]},
+    }
+    wrong_diagrams = {
+        "free_loops": {"surface": "disk", "free_loops": 1.7},
+        "free_cores": {"surface": "annulus", "free_cores": 1.5},
+        "arc": {"surface": "disk", "crossings": [[1, 1, 2.5, 2.5]]},
+        "winding_mark": {"surface": "annulus", "crossings": [[1, 1, 2, 2]], "winding_marks": {"1": 0.5}},
+    }
+    float_ideal = write(tmp_path / "ideal_float.json", {"vars": ["x"], "gens": [{"terms": [[[1], 0.1]]}]})
+    cases = [
         ["torus", "mul", "--a", skein, "--b", skein],
         ["torus", "center-check", "--a", skein],
         ["decompose", ideal],
         ["thread", "--m", "2", "--input", annulus],
         ["groebner", ideal_zero],
         ["torus", "center-check", "--a", torus_zero],
-    ):
+        ["groebner", float_ideal],
+    ]
+    for name, data in wrong_numbers.items():
+        cases.append(["thread", "--m", "2", "--input", write(tmp_path / f"{name}.json", data)])
+    for name, data in wrong_labels.items():
+        cases.append(["torus", "center-check", "--a", write(tmp_path / f"{name}.json", data)])
+    for name, data in wrong_diagrams.items():
+        cases.append(["bracket", write(tmp_path / f"{name}.json", data)])
+    for argv in cases:
         assert main(argv) == 2, argv
-        assert capsys.readouterr().err.startswith("error:"), argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:"), argv
 
 
 def test_malformed_ideals_are_bad_input(tmp_path, capsys):

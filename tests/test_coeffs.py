@@ -15,7 +15,9 @@ from skeinlab.coeffs import (
     root_spec,
     specialize_scalar,
 )
-from skeinlab.errors import FourDividesOrderError
+from skeinlab.diagrams import AnnulusSkein
+from skeinlab.errors import FieldMismatchError, FourDividesOrderError
+from skeinlab.torus import TorusSkein
 
 
 def test_root_spec_examples():
@@ -206,3 +208,67 @@ def test_delta_values():
     assert GenericQ().delta() == RationalFunction(LaurentPoly({2: -1, -2: -1}))
     assert Rationals(-1).delta() == -2
     assert ZetaField(3).delta().as_fraction() == 1  # -(zeta^2 + zeta) = 1
+
+
+def _pinned_skeins():
+    G, Z, R = GenericQ(), ZetaField(5), Rationals(-1)
+    rf = RationalFunction(LaurentPoly({-1: Fraction(1, 2), 2: -3}), LaurentPoly({0: 1, 1: 2, 2: 1}))
+    cz = CyclotomicScalar(5, [1, Fraction(-2, 3), 0, 5])
+    return [
+        AnnulusSkein(G, {0: rf, 2: G.q_power(3)}),
+        AnnulusSkein(Z, {1: cz, 3: Z.q_power(2)}),
+        AnnulusSkein(R, {0: Fraction(1, 3), 4: R.q_power(3)}),
+        AnnulusSkein.zero(G),
+        TorusSkein(G, {(0, 0): G.q_power(-1), (-1, 2): rf}),
+        TorusSkein(Z, {(2, 0): cz, (0, -1): Z.q_power(1)}),
+        TorusSkein(R, {(1, 1): Fraction(-5, 2), (0, 0): R.one()}),
+    ]
+
+
+def test_skein_json_and_text_forms_are_pinned():
+    rf_json = {"num": {"terms": [[-1, "1/2"], [2, "-3"]]}, "den": {"terms": [[0, "1"], [1, "2"], [2, "1"]]}}
+    rf_str = "(-3*q^2 + 1/2*q^-1) / (q^2 + 2*q + 1)"
+    cz_json = {"n": 5, "coeffs": ["1", "-2/3", "0", "5"]}
+    expected = [
+        (
+            {"field": "generic", "terms": [[0, rf_json], [2, {"num": {"terms": [[3, "1"]]}}]]},
+            f"({rf_str}) + (q^3)*z^2",
+        ),
+        (
+            {"field": "zeta:5", "terms": [[1, cz_json], [3, {"n": 5, "coeffs": ["0", "0", "1", "0"]}]]},
+            "(1 - 2/3*z + 5*z^3)*z + (z^2)*z^3",
+        ),
+        ({"field": "rationals(q=-1)", "terms": [[0, "1/3"], [4, "-1"]]}, "(1/3) + (-1)*z^4"),
+        ({"field": "generic", "terms": []}, "0"),
+        (
+            {"field": "generic", "terms": [[0, 0, {"num": {"terms": [[-1, "1"]]}}], [1, -2, rf_json]]},
+            f"(q^-1)*empty + ({rf_str})*(1,-2)",
+        ),
+        (
+            {"field": "zeta:5", "terms": [[0, 1, {"n": 5, "coeffs": ["0", "1", "0", "0"]}], [2, 0, cz_json]]},
+            "(z)*(0,1) + (1 - 2/3*z + 5*z^3)*(2,0)",
+        ),
+        ({"field": "rationals(q=-1)", "terms": [[0, 0, "1"], [1, 1, "-5/2"]]}, "(1)*empty + (-5/2)*(1,1)"),
+    ]
+    skeins = _pinned_skeins()
+    for skein, (data, text) in zip(skeins, expected):
+        assert skein.to_json() == data
+        assert str(skein) == text
+        assert repr(skein) == f"{type(skein).__name__}({text})"
+        assert type(skein).from_json(data) == skein
+
+
+def test_skein_sums_across_fields_are_rejected():
+    skeins = _pinned_skeins()
+    generic, zeta = skeins[0], skeins[1]
+    with pytest.raises(FieldMismatchError):
+        generic + zeta
+    with pytest.raises(FieldMismatchError):
+        zeta - generic
+    with pytest.raises(FieldMismatchError):
+        generic.mul(zeta)
+    with pytest.raises(FieldMismatchError):
+        skeins[4] + skeins[5]
+    assert generic - generic == AnnulusSkein.zero(GenericQ())
+    assert generic + generic == generic.scale(GenericQ().from_int(2))
+    assert -(skeins[4]) == skeins[4].scale(GenericQ().from_int(-1))

@@ -1,8 +1,11 @@
 from fractions import Fraction
 
+import pytest
+
 from skeinlab.chebyshev import thread_annulus
 from skeinlab.coeffs import GenericQ, Rationals, ZetaField, root_spec
 from skeinlab.diagrams import AnnulusSkein
+from skeinlab.errors import FieldMismatchError
 from skeinlab.solidtorus import ActionCache, act, action_cache, diagram_columns
 from skeinlab.torus import TorusSkein, thread_torus, torus_mul
 
@@ -120,3 +123,11 @@ def test_specialized_matrix_agrees_with_specialization():
     for col_g, col_z in zip(gen, spec):
         mapped = {k: specialize_scalar(v, z5) for k, v in col_g.coeffs.items()}
         assert {k: v for k, v in mapped.items() if v} == col_z.coeffs
+
+
+def test_act_across_fields_is_rejected():
+    zeta = ZetaField(5)
+    with pytest.raises(FieldMismatchError):
+        act(curve(1, 0), AnnulusSkein.z_power(zeta, 2))
+    with pytest.raises(FieldMismatchError):
+        act(curve(0, 1, zeta), z(1))
