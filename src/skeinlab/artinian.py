@@ -3,21 +3,29 @@ multiplicities, and the specialization-vs-localization comparison for
 presented modules.
 
 A finite-dimensional commutative Q-algebra A = Q[x_1..x_n]/I splits as a
-product of local factors, one for each Galois orbit of its points over the
-algebraic closure. The split is one pass:
+product of local factors eA, one for each Galois orbit of its points over
+the algebraic closure, where e runs over the primitive idempotents. The
+split is one pass:
 
 - the trace form (b_i, b_j) -> Tr(L_{b_i b_j}) on the standard monomials has
   rank s, the number of distinct points (Cox, Little, O'Shea, *Using
   Algebraic Geometry*, ch. 2 section 5);
 - the linear form a = x_1 + lam x_2 + lam^2 x_3 + ... separates the points
   when it takes s distinct values on them, that is, when the irreducible
-  factors over Q (``upoly.factor``) of the minimal polynomial of L_a have
+  factors over Q (``upoly.factor``) of the minimal polynomial mu of L_a have
   degrees that sum to s. Two distinct points agree on a for at most n - 1
   values of lam, the roots of a nonzero polynomial of degree at most n - 1,
   so one of lam = 0, 1, ..., (n - 1) s (s - 1) / 2 separates;
-- for a separating a, each prime-power factor f^e of that minimal polynomial
-  cuts out one local factor, the kernel of f(L_a)^e, whose points are the
-  deg f conjugates on which a is a root of f.
+- for a separating a, each prime-power factor f^e of mu gives one local
+  factor, whose points are the deg f conjugates on which a is a root of f.
+  Its idempotent is eps(a) with eps = u (mu / f^e) mod mu, where
+  u (mu / f^e) + v f^e = 1 (``upoly.ext_gcd``).
+
+A is commutative with a unit, so p(L_a) vanishes exactly when p(a) does:
+mu is the minimal polynomial of the unit vector under L_a, and on a factor
+eA the minimal polynomial of L_v is that of the vector e. Every fact is
+therefore one Krylov sequence (``linalg.minimal_polynomial``) in the
+ambient space, and the factor itself is spanned by the products b_k e.
 
 Factors are Q-local: a cluster of Galois-conjugate points is one factor; its
 ``point_count`` is the residue-field degree and ``multiplicity`` the full
@@ -33,29 +41,8 @@ from fractions import Fraction
 from . import upoly
 from .errors import SkeinError
 from .groebner import PolyIdeal, QuotientRing, buchberger
-from .linalg import (
-    Echelon,
-    coordinates,
-    dense,
-    identity,
-    mat_mul,
-    mat_vec,
-    minimal_polynomial,
-    span,
-    sparse,
-)
+from .linalg import Echelon, mat_vec, minimal_polynomial, span, sparse
 from .multipoly import MultiPoly
-
-
-def _poly_of_matrix(coeffs, mat):
-    n = len(mat)
-    out = [[c * coeffs[0] for c in row] for row in identity(n)]
-    power = identity(n)
-    for c in coeffs[1:]:
-        power = mat_mul(power, mat)
-        if c:
-            out = [[a + c * b for a, b in zip(ra, rb)] for ra, rb in zip(out, power)]
-    return out
 
 
 class LocalFactor:
@@ -74,7 +61,7 @@ class LocalFactor:
         self.multiplicity = multiplicity
         self.point_count = point_count
         self.point_multiplicity = point_multiplicity
-        self.basis = basis  # rows: coordinates in the ambient standard basis
+        self.basis = basis  # rows: a basis of the factor eA, in ambient coordinates
         self.idempotent = idempotent  # ambient coordinate vector
 
     def to_json(self):
@@ -94,44 +81,10 @@ def _poly_str(cs):
     return "+".join(f"{c}t^{i}" if i else str(c) for i, c in enumerate(cs) if c) or "0"
 
 
-def _restrict(mat, basis_rows):
-    """Matrix of an operator restricted to an invariant subspace (rows basis)."""
-    coords = coordinates(basis_rows)
-    cols = []
-    for row in basis_rows:
-        sol = coords(mat_vec(mat, row))
-        if sol is None:
-            raise SkeinError("subspace is not invariant")
-        cols.append(sol)
-    d = len(basis_rows)
-    return [[cols[j][i] for j in range(d)] for i in range(d)]
-
-
-def _block_minpoly(mat):
-    """Minimal polynomial of a matrix via cyclic subspaces."""
-    n = len(mat)
-    done = [Fraction(1)]
-    invariant = Echelon()  # sum of the cyclic subspaces so far
-    for i in range(n):
-        if not invariant.insert({i: Fraction(1)}):
-            continue  # a dependent start adds nothing to the lcm
-        v = [Fraction(int(t == i)) for t in range(n)]
-        mp = minimal_polynomial(lambda w: mat_vec(mat, w), v, n)
-        done = upoly.lcm(done, mp)
-        # the cyclic subspace of v is spanned by v, Av, ..., A^(deg mp - 1) v
-        for _ in range(len(mp) - 2):
-            v = mat_vec(mat, v)
-            invariant.insert(sparse(v))
-        if len(done) == n + 1:
-            break
-    return done
-
-
-def _point_count(ring):
+def _point_count(mats):
     """Number of distinct points over the algebraic closure: the rank of the
     trace form. Column i of L_{b_j} holds the coordinates of b_i b_j, so
     Tr(L_{b_i b_j}) is their dot product with the traces of the L_{b_k}."""
-    mats = [ring.mult_matrix(MultiPoly(ring.vars, {m: Fraction(1)})) for m in ring.standard_monomials]
     traces = [sum(mat[t][t] for t in range(len(mat))) for mat in mats]
     gram = [[sum(t * c for t, c in zip(traces, col)) for col in zip(*mat)] for mat in mats]
     return span(gram).rank()
@@ -145,46 +98,40 @@ def artinian_decompose(ring: QuotientRing):
     if d == 0:
         return []
     tables = ring.mult_tables()
-    s = _point_count(ring)
+    mats = [ring.mult_matrix(MultiPoly(ring.vars, {m: Fraction(1)})) for m in ring.standard_monomials]
+    s = _point_count(mats)
+    unit = ring.coords(MultiPoly.constant(ring.vars, Fraction(1)))
     n = len(ring.vars)
     for lam in range((n - 1) * s * (s - 1) // 2 + 1):
         weights = [(lam**i, tables[v]) for i, v in enumerate(ring.vars)]
         form = [[sum(w * t[r][c] for w, t in weights) for c in range(d)] for r in range(d)]
-        primes = upoly.factor(_block_minpoly(form))
+        mu = minimal_polynomial(lambda w: mat_vec(form, w), unit, d)
+        primes = upoly.factor(mu)
         if sum(len(f) - 1 for f, _ in primes) == s:
             break
     else:  # pragma: no cover - some lam in the range separates
         raise SkeinError("no separating linear form")
 
-    # the kernel of f(L_a)^e: ambient vector j goes in as its image (column j)
-    # tagged with -1 - j, so the rows left with only tags span the kernel
-    blocks = []
-    for f, e in primes:
-        pw = [Fraction(1)]
-        for _ in range(e):
-            pw = upoly.mul(pw, f)
-        m = _poly_of_matrix(pw, form)
-        ker = Echelon()
-        for j in range(d):
-            row = {i: m[i][j] for i in range(d) if m[i][j]}
-            row[-1 - j] = Fraction(1)
-            ker.insert(row)
-        kernel = [row for lead, row in ker.pivots.items() if lead < 0]
-        blocks.append([dense({-1 - k: x for k, x in row.items()}, d) for row in kernel])
-
-    # idempotents: the components of 1 along the direct sum of the blocks
-    unit = ring.coords(MultiPoly.constant(ring.vars, Fraction(1)))
-    split = iter(coordinates([row for rows in blocks for row in rows])(unit))
+    powers = [unit]  # a^k for k < deg mu
+    for _ in range(len(mu) - 2):
+        powers.append(mat_vec(form, powers[-1]))
     factors = []
-    for (f, _), rows in zip(primes, blocks):
+    for f, e in primes:
+        f_e = [Fraction(1)]
+        for _ in range(e):
+            f_e = upoly.mul(f_e, f)
+        rest = upoly.divmod(mu, f_e)[0]
+        _, u, _ = upoly.ext_gcd(rest, f_e)
+        eps = upoly.divmod(upoly.mul(u, rest), mu)[1]
         idem = [Fraction(0)] * d
-        for row in rows:
-            c = next(split)
+        for c, vec in zip(eps, powers):
             if c:
-                idem = [a + c * b for a, b in zip(idem, row)]
+                idem = [x + c * y for x, y in zip(idem, vec)]
+        block = Echelon()
+        rows = [row for row in (mat_vec(mat, idem) for mat in mats) if block.insert(sparse(row))]
         point = {}
         for v in ring.vars:
-            [(g, _)] = upoly.factor(_block_minpoly(_restrict(tables[v], rows)))
+            [(g, _)] = upoly.factor(minimal_polynomial(lambda w: mat_vec(tables[v], w), idem, d))
             point[v] = tuple(g)
         mult, count = len(rows), len(f) - 1
         factors.append(LocalFactor(point, mult, count, mult // count, rows, idem))
@@ -281,15 +228,10 @@ def specialize_vs_localize(module: PresentedModule, factor: LocalFactor):
     dim_spec = r * d - span(rows).rank()
 
     # route 2: localization by idempotent projection. e*M = e*A^r / e*relations,
-    # with e*relations in ambient coordinates: coordinates against a basis of
-    # the e-ideal are an injective linear image of them, with the same rank
-    block_dim = span(_ideal_rows(ring, idem)).rank()
+    # where e*A has dimension factor.multiplicity and e*relations are taken in
+    # ambient coordinates: coordinates against a basis of e*A are an injective
+    # linear image of them, with the same rank
     localized = [[idem * entry for entry in col] for col in module.relations]
     localized = PresentedModule(ring, r, localized)
-    dim_loc = r * block_dim - span(localized._ground_relation_rows()).rank()
+    dim_loc = r * factor.multiplicity - span(localized._ground_relation_rows()).rank()
     return dim_spec, dim_loc, dim_spec == dim_loc
-
-
-def _ideal_rows(ring, gen):
-    monos = [MultiPoly(ring.vars, {m: Fraction(1)}) for m in ring.standard_monomials]
-    return [ring.coords(gen * mono) for mono in monos]

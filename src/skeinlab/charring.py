@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .artinian import artinian_decompose, _restrict
+from .artinian import artinian_decompose
 from .errors import SkeinError
 from .groebner import PolyIdeal, buchberger
-from .linalg import span
+from .linalg import mat_vec, span
 from .multipoly import MultiPoly
 
 _INVERSE = {"a": "A", "A": "a", "b": "B", "B": "b"}
@@ -286,7 +286,7 @@ def char_ring(group: GroupPresentation) -> CharRingReport:
         flags = [False] * len(factors)  # abelian image: every character reducible
     else:
         kappa = ring.mult_matrix(ring.normal_form(commutator_trace() - 2))
-        flags = [span(_restrict(kappa, f.basis)).rank() == f.multiplicity for f in factors]
+        flags = [span(mat_vec(kappa, row) for row in f.basis).rank() == f.multiplicity for f in factors]
     return CharRingReport(group, ideal, ring, dim, tuple(factors), tuple(flags))
 
 

@@ -30,22 +30,21 @@ EXIT_BAD_INPUT = 2
 EXIT_NOT_STABILIZED = 3
 
 
-def _field(tag):
-    return field_from_tag(tag)
-
-
 def _load(path, parse):
     """Read a JSON input file and build an object from it with ``parse``.
 
     JSON of the wrong shape (a number where a list belongs, a list where an
-    object belongs) surfaces as TypeError or AttributeError inside ``parse``,
-    and a zero denominator ("1/0", an empty denominator polynomial) as
-    ZeroDivisionError; both are malformed input like any other.
+    object belongs, a missing key) surfaces as TypeError, AttributeError or
+    KeyError inside ``parse``, and a zero denominator ("1/0", an empty
+    denominator polynomial) as ZeroDivisionError; all are malformed input
+    like any other.
     """
     with open(path) as fh:
         data = json.load(fh)
     try:
         return parse(data)
+    except KeyError as exc:
+        raise SkeinError(f"malformed input {path}: missing key {exc}") from exc
     except (TypeError, AttributeError, ZeroDivisionError) as exc:
         raise SkeinError(f"malformed input {path}: {exc}") from exc
 
@@ -62,7 +61,7 @@ def _emit(args, command, parameters, inputs, data):
 
 def cmd_bracket(args):
     diagram = _load(args.diagram, FramedDiagram.from_json)
-    field = _field(args.field)
+    field = field_from_tag(args.field)
     if diagram.surface == ANNULUS:
         value = bracket_annulus(diagram, field)
         printable = str(value)
@@ -89,18 +88,27 @@ def cmd_thread(args):
 
 
 def cmd_torus(args):
-    field = _field(f"zeta:{args.n}" if args.n else "generic")
+    def load(path):
+        def parse(data):
+            # the field comes from the file's tag; --n only checks it
+            tag = field_from_tag(data["field"]).tag
+            if args.n and tag != f"zeta:{args.n}":
+                raise SkeinError(f"{path} is over {tag}, but --n {args.n} asks for zeta:{args.n}")
+            return TorusSkein.from_json(data)
+
+        return _load(path, parse)
+
     if args.op in ("mul", "commutator"):
         if not args.b:
             print("torus mul/commutator needs --b", file=sys.stderr)
             return EXIT_BAD_INPUT
-        a = _load(args.a, lambda data: TorusSkein.from_json(data, field))
-        b = _load(args.b, lambda data: TorusSkein.from_json(data, field))
+        a = load(args.a)
+        b = load(args.b)
         result = torus_mul(a, b) if args.op == "mul" else commutator(a, b)
         print(result)
         _emit(args, f"torus {args.op}", {"n": args.n}, [args.a, args.b], result.to_json())
         return EXIT_OK
-    a = _load(args.a, lambda data: TorusSkein.from_json(data, field))
+    a = load(args.a)
     central = is_central(a, args.bound)
     print("central" if central else "not central")
     _emit(
@@ -114,7 +122,7 @@ def cmd_torus(args):
 
 
 def cmd_lens(args):
-    field = _field(args.field)
+    field = field_from_tag(args.field)
     report = lens_module(args.p, args.q, field, args.truncation)
     print(report)
     _emit(
@@ -216,7 +224,7 @@ def build_parser():
 
     p = sub.add_parser("torus", help="torus algebra operations")
     p.add_argument("op", choices=("mul", "commutator", "center-check"))
-    p.add_argument("--n", type=int, default=0, help="root of unity order; omit for generic q")
+    p.add_argument("--n", type=int, default=0, help="check that the files are over zeta:<n>; omit to skip")
     p.add_argument("--a", required=True)
     p.add_argument("--b")
     p.add_argument("--bound", type=int, default=6)

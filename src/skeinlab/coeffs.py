@@ -808,9 +808,9 @@ class Combination:
         }
 
     @classmethod
-    def from_json(cls, data, field=None):
-        """Read ``to_json`` output; a given ``field`` overrides the tag in ``data``."""
-        fld = field if field is not None else field_from_tag(data["field"])
+    def from_json(cls, data):
+        """Read ``to_json`` output, over the field its tag names."""
+        fld = field_from_tag(data["field"])
         return cls(fld, [(cls._key_from_json(k), fld.scalar_from_json(v)) for *k, v in data["terms"]])
 
     def __str__(self):

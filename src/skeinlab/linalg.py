@@ -6,11 +6,10 @@ inv/zero/one.
 
 Every elimination over a field goes through one kernel, ``Echelon``: a
 sparse row echelon form built one row at a time. Rank, membership, normal
-forms, coordinates against a basis, kernels and minimal polynomials are all
-read off it. Coordinates use tag keys: a row that carries the key ``-1 - t``
-remembers that it came from source t, and since these tags sort below every
-(non-negative) column, the columns are eliminated first and the tag part of
-a reduced row records the combination of sources it came from.
+forms and minimal polynomials are all read off it. A minimal polynomial uses
+tag keys: Krylov vector t carries the key ``-1 - t``, and since these tags
+sort below every (non-negative) column, the columns are eliminated first and
+the first vector that reduces to tags alone records the linear relation.
 """
 
 from __future__ import annotations
@@ -22,31 +21,11 @@ from .coeffs import Rationals
 _QQ = Rationals()
 
 
-def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    out = [[Fraction(0) for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
-            if c:
-                bt = b[t]
-                for j in range(m):
-                    if bt[j]:
-                        oi[j] = oi[j] + c * bt[j]
-    return out
-
-
 def mat_vec(a, v):
     return [
         sum((a[i][j] * v[j] for j in range(len(v)) if v[j]), Fraction(0))
         for i in range(len(a))
     ]
-
-
-def identity(n):
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 class Echelon:
@@ -138,29 +117,6 @@ def span(vectors):
     for v in vectors:
         ech.insert(sparse(v))
     return ech
-
-
-def coordinates(basis_rows):
-    """Function giving the coefficients of a dense vector against the linearly
-    independent dense ``basis_rows``, or None for a vector outside their span.
-
-    Row t goes in with the tag key -1 - t, so the normal form of a vector in
-    the span is minus its coefficients on the tags.
-    """
-    ech = Echelon()
-    one, zero = Fraction(1), Fraction(0)
-    for t, r in enumerate(basis_rows):
-        row = sparse(r)
-        row[-1 - t] = one
-        ech.insert(row)
-
-    def coords(vec):
-        nf = ech.normal_form(sparse(vec))
-        if nf and max(nf) >= 0:
-            return None
-        return [-nf.get(-1 - t, zero) for t in range(len(basis_rows))]
-
-    return coords
 
 
 def minimal_polynomial(apply_fn, vec, dim):

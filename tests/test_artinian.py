@@ -14,6 +14,7 @@ from skeinlab.artinian import (
 )
 from skeinlab.errors import SkeinError
 from skeinlab.groebner import PolyIdeal, buchberger
+from skeinlab.linalg import span
 from skeinlab.multipoly import MultiPoly
 
 
@@ -114,6 +115,24 @@ def test_point_multiplicity_matches_fat_point_powers():
             assert local_multiplicity(ideal, point) == f.point_multiplicity
             seen.append(f.point_multiplicity)
     assert sorted(set(seen)) == [1, 2, 3, 4]
+
+
+def test_factor_bases_lie_in_their_blocks():
+    # criterion 12's rings: each basis row is fixed by its idempotent, and
+    # the rows are independent, as many as the factor's dimension
+    rng = random.Random(5150)
+    rings = 0
+    while rings < 20:
+        ring = _random_artinian_ring(rng)
+        d = ring.dimension()
+        if not d or d > 9:
+            continue
+        rings += 1
+        for f in artinian_decompose(ring):
+            e = ring.from_coords(f.idempotent)
+            for row in f.basis:
+                assert ring.coords(e * ring.from_coords(row)) == row
+            assert len(f.basis) == span(f.basis).rank() == f.multiplicity
 
 
 def test_multiplicity_sums_on_random_rings():

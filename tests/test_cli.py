@@ -63,6 +63,35 @@ def test_torus_center_check_cli(tmp_path, capsys):
     assert "not central" in capsys.readouterr().out
 
 
+ZETA5_TERMS = [[1, 0, {"n": 5, "coeffs": ["1", "-2/3"]}]]
+
+
+def test_torus_field_comes_from_the_file(tmp_path, capsys):
+    # a zeta:5 file needs no --n; --n only checks the tag and names both
+    # fields when they differ
+    pa = write(tmp_path / "a.json", {"field": "zeta:5", "terms": ZETA5_TERMS})
+    pb = write(tmp_path / "b.json", {"field": "zeta:5", "terms": [[0, 1, {"n": 5, "coeffs": ["0", "0", "2"]}]]})
+    assert main(["torus", "mul", "--a", pa, "--b", pb]) == 0
+    unchecked = capsys.readouterr()
+    assert main(["torus", "mul", "--n", "5", "--a", pa, "--b", pb]) == 0
+    assert capsys.readouterr() == unchecked and "(1,1)" in unchecked.out
+    assert main(["torus", "mul", "--n", "3", "--a", pa, "--b", pb]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "zeta:5" in captured.err and "zeta:3" in captured.err
+
+
+def test_torus_field_tag_is_checked_before_the_scalars(tmp_path, capsys):
+    # zeta:5 scalars in a file tagged generic: --n 5 names both fields, and
+    # without --n the generic reader reports the missing key as malformed input
+    path = write(tmp_path / "generic.json", {"field": "generic", "terms": ZETA5_TERMS})
+    assert main(["torus", "center-check", "--n", "5", "--a", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "generic" in captured.err and "zeta:5" in captured.err
+    assert main(["torus", "center-check", "--a", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: malformed input {path}:")
+
+
 def test_lens_cli_s3(tmp_path, capsys):
     out_path = str(tmp_path / "s3.json")
     assert main(["lens", "--p", "1", "--q", "0", "--field", "generic", "--out", out_path]) == 0

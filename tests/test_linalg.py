@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from skeinlab.linalg import Echelon, coordinates, mat_vec, minimal_polynomial, span, sparse
+from skeinlab.linalg import Echelon, mat_vec, minimal_polynomial, span, sparse
 
 
 def _random_matrix(rng, rows, cols):
@@ -50,24 +50,6 @@ def test_normal_form_is_zero_exactly_when_rank_stays(seed):
         shuffled = list(mat)
         rng.shuffle(shuffled)
         assert span(shuffled).normal_form(sparse(v)) == nf
-
-
-@pytest.mark.parametrize("seed", range(30))
-def test_coordinates_rebuild_the_vector(seed):
-    rng = random.Random(2000 + seed)
-    cols = rng.randint(1, 6)
-    basis = []
-    for row in _random_matrix(rng, cols, cols):
-        if _sympy_rank(basis + [row], cols) > len(basis):
-            basis.append(row)
-    coords = coordinates(basis)
-    for _ in range(5):
-        v = _random_matrix(rng, 1, cols)[0]
-        c = coords(v)
-        if _sympy_rank(basis + [v], cols) > len(basis):
-            assert c is None
-        else:
-            assert [sum(ct * r[j] for ct, r in zip(c, basis)) for j in range(cols)] == v
 
 
 def test_pivots_are_largest_keys_scaled_to_one():

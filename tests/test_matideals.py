@@ -8,6 +8,7 @@ from skeinlab.linalg import span, sparse
 from skeinlab.matideals import (
     FinAlg,
     MatIdeal,
+    column_space,
     random_instance,
     row_space,
     verify_lr_quotient,
@@ -95,6 +96,15 @@ def test_row_space_identity():
                 row_vec = flat[i * n * d : (i + 1) * n * d]
                 if any(row_vec) and v:
                     assert v_span.normal_form(sparse(row_vec)) == {}
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_column_space_is_row_space_of_transposes(seed):
+    algebra, n, _, R = random_instance(seed)
+    transposed = [[[g[j][i] for j in range(n)] for i in range(n)] for g in R.generators]
+    assert column_space(R) == row_space(MatIdeal("left", algebra, n, transposed))
+    with pytest.raises(SkeinError):
+        column_space(MatIdeal("left", algebra, n, R.generators))
 
 
 @pytest.mark.parametrize("seed", range(12))
