@@ -54,15 +54,6 @@ class Word:
     def __init__(self, letters: str):
         self.letters = free_reduce(letters)
 
-    def __mul__(self, other):
-        return Word(self.letters + other.letters)
-
-    def inverse(self):
-        return Word(inverse_word(self.letters))
-
-    def __len__(self):
-        return len(self.letters)
-
     def __eq__(self, other):
         return isinstance(other, Word) and self.letters == other.letters
 

@@ -40,21 +40,8 @@ class ChebPoly:
         return NotImplemented
 
     def __str__(self):
-        parts = []
-        for e in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[e]
-            if not c:
-                continue
-            body = "x" if e == 1 else (f"x^{e}" if e else str(abs(c)))
-            if e and abs(c) != 1:
-                body = f"{abs(c)}*{body}"
-            parts.append(("-" if c < 0 else "+", body))
-        if not parts:
-            return "0"
-        out = ("-" if parts[0][0] == "-" else "") + parts[0][1]
-        for s, b in parts[1:]:
-            out += f" {s} {b}"
-        return out
+        terms = reversed(list(enumerate(self.coeffs)))
+        return upoly.signed_sum((upoly.power_text("x", e), c) for e, c in terms)
 
     def __repr__(self):
         return f"ChebPoly(T_{self.index} = {self})"

@@ -15,6 +15,11 @@ A coefficient of a ``LaurentPoly`` or ``CyclotomicScalar`` is an ``int``
 when it is integral and a ``Fraction`` otherwise, never a float. The skein
 computations stay in Z[q, q^-1] and Z[zeta_n], where ``int`` arithmetic is
 far cheaper than ``Fraction``.
+
+The chores these types share (sparse term sums, the signed-term text, the
+operators derived from ``+`` and unary ``-``) live in ``upoly``. A
+``CoeffField`` subclass defines ``from_fraction``, ``q_power`` and
+``scalar_from_json``; the rest of a field comes from those and the scalars.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from fractions import Fraction
 
 from . import upoly
 from .errors import FieldMismatchError, FourDividesOrderError, SkeinError
-from .upoly import frac_from_json, frac_str, int_from_json
+from .upoly import DerivedOperators, add_terms, collect, frac_from_json, frac_str, int_from_json, power_text, signed_sum
 
 
 def _canon(c):
@@ -42,24 +47,15 @@ def _integral(terms):
     return {e: _canon(c) for e, c in terms.items()}
 
 
-class LaurentPoly:
+class LaurentPoly(DerivedOperators):
     """Element of Q[q, q^-1]: exponent -> nonzero int or Fraction coefficient."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        t = {}
-        if terms:
-            for e, c in (terms.items() if isinstance(terms, dict) else terms):
-                c = _canon(c)
-                if c:
-                    c0 = t.get(e)
-                    c = c if c0 is None else _canon(c0 + c)
-                    if c:
-                        t[int(e)] = c
-                    elif e in t:
-                        del t[e]
-        self.terms = t
+        if isinstance(terms, dict):
+            terms = terms.items()
+        self.terms = _integral(collect((int(e), _canon(c)) for e, c in terms)) if terms else {}
 
     @classmethod
     def zero(cls):
@@ -93,31 +89,14 @@ class LaurentPoly:
     def __add__(self, other):
         if type(other) is not LaurentPoly and isinstance(other, (int, Fraction)):
             other = LaurentPoly.from_fraction(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
         r = LaurentPoly.__new__(LaurentPoly)
-        r.terms = _integral(out)
+        r.terms = _integral(add_terms(self.terms, other.terms))
         return r
-
-    __radd__ = __add__
 
     def __neg__(self):
         r = LaurentPoly.__new__(LaurentPoly)
         r.terms = {e: -c for e, c in self.terms.items()}
         return r
-
-    def __sub__(self, other):
-        if type(other) is not LaurentPoly and isinstance(other, (int, Fraction)):
-            other = LaurentPoly.from_fraction(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if type(other) is not LaurentPoly and isinstance(other, (int, Fraction)):
@@ -178,30 +157,10 @@ class LaurentPoly:
         return cls({int_from_json(e): frac_from_json(c) for e, c in data["terms"]})
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if e == 0:
-                body = frac_str(mag)
-            else:
-                var = "q" if e == 1 else f"q^{e}"
-                body = var if mag == 1 else f"{frac_str(mag)}*{var}"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
-
-    def __repr__(self):
-        return f"LaurentPoly({self})"
+        return signed_sum((power_text("q", e), self.terms[e]) for e in sorted(self.terms, reverse=True))
 
 
-class RationalFunction:
+class RationalFunction(DerivedOperators):
     """Element of Q(q), reduced, denominator monic with lowest exponent 0."""
 
     __slots__ = ("num", "den")
@@ -261,20 +220,10 @@ class RationalFunction:
             other = RationalFunction(other)
         return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
 
-    __radd__ = __add__
-
     def __neg__(self):
         r = RationalFunction.__new__(RationalFunction)
         r.num, r.den = -self.num, self.den
         return r
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, LaurentPoly)):
-            other = RationalFunction(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, LaurentPoly)):
@@ -316,9 +265,6 @@ class RationalFunction:
             return str(self.num)
         return f"({self.num}) / ({self.den})"
 
-    def __repr__(self):
-        return f"RationalFunction({self})"
-
 
 # ---------------------------------------------------------------------------
 # cyclotomic fields
@@ -350,7 +296,7 @@ def _cyclo_data(n: int):
     return data
 
 
-class CyclotomicScalar:
+class CyclotomicScalar(DerivedOperators):
     """Element of Q[q]/(Phi_n(q)), coefficients in the power basis 1..q^(phi(n)-1)."""
 
     __slots__ = ("n", "coeffs")
@@ -410,18 +356,8 @@ class CyclotomicScalar:
         self._check(other)
         return CyclotomicScalar(self.n, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
-    __radd__ = __add__
-
     def __neg__(self):
         return CyclotomicScalar(self.n, [-a for a in self.coeffs])
-
-    def __sub__(self, other):
-        if type(other) is not CyclotomicScalar and isinstance(other, (int, Fraction)):
-            other = CyclotomicScalar.from_fraction(self.n, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if type(other) is not CyclotomicScalar and isinstance(other, (int, Fraction)):
@@ -481,22 +417,7 @@ class CyclotomicScalar:
         return cls(int_from_json(data["n"]), [frac_from_json(c) for c in data["coeffs"]])
 
     def __str__(self):
-        if not self:
-            return "0"
-        parts = []
-        for e, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if e == 0:
-                body = frac_str(abs(c))
-            else:
-                var = "z" if e == 1 else f"z^{e}"
-                body = var if abs(c) == 1 else f"{frac_str(abs(c))}*{var}"
-            parts.append(("-" if c < 0 else "+", body))
-        out = ("-" if parts[0][0] == "-" else "") + parts[0][1]
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+        return signed_sum((power_text("z", e), c) for e, c in enumerate(self.coeffs))
 
     def __repr__(self):
         return f"CyclotomicScalar(n={self.n}, {self})"
@@ -548,38 +469,33 @@ class CoeffField:
     """Factory/tag object for one exact coefficient field.
 
     Scalars themselves carry the arithmetic through operator overloading;
-    the field supplies constants, inversion, parsing and JSON forms.
+    the field supplies constants, inversion, parsing and JSON forms. A field
+    defines its ``tag`` and ``from_fraction`` (the scalar of a rational),
+    ``q_power`` and ``scalar_from_json``; the constants come from
+    ``from_fraction``, and inversion and JSON from the scalar's ``inv`` and
+    ``to_json``.
     """
 
     tag: str
 
     def zero(self):
-        raise NotImplementedError
+        return self.from_fraction(0)
 
     def one(self):
-        raise NotImplementedError
-
-    def from_fraction(self, c):
-        raise NotImplementedError
+        return self.from_fraction(1)
 
     def from_int(self, c):
-        return self.from_fraction(Fraction(c))
-
-    def q_power(self, e):
-        raise NotImplementedError
+        return self.from_fraction(c)
 
     def delta(self):
         """Value of a trivial circle, -q^2 - q^-2."""
         return -(self.q_power(2) + self.q_power(-2))
 
     def inv(self, x):
-        raise NotImplementedError
+        return x.inv()
 
     def scalar_to_json(self, x):
-        raise NotImplementedError
-
-    def scalar_from_json(self, data):
-        raise NotImplementedError
+        return x.to_json()
 
     def __eq__(self, other):
         return isinstance(other, CoeffField) and self.tag == other.tag
@@ -601,12 +517,6 @@ class Rationals(CoeffField):
                 raise ValueError("rational field only supports q = +1 or -1")
         self.q_value = q_value
         self.tag = "rationals" if q_value is None else f"rationals(q={q_value})"
-
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
 
     def from_fraction(self, c):
         return Fraction(c)
@@ -632,23 +542,11 @@ class GenericQ(CoeffField):
     def __init__(self):
         self.tag = "generic"
 
-    def zero(self):
-        return RationalFunction(0)
-
-    def one(self):
-        return RationalFunction(1)
-
     def from_fraction(self, c):
         return RationalFunction(c)
 
     def q_power(self, e):
         return RationalFunction(LaurentPoly.q_power(e))
-
-    def inv(self, x):
-        return x.inv()
-
-    def scalar_to_json(self, x):
-        return x.to_json()
 
     def scalar_from_json(self, data):
         return RationalFunction.from_json(data)
@@ -662,29 +560,18 @@ class ZetaField(CoeffField):
         self.n = n
         self.tag = f"zeta:{n}"
 
-    def zero(self):
-        return CyclotomicScalar.zero(self.n)
-
-    def one(self):
-        return CyclotomicScalar.one(self.n)
-
     def from_fraction(self, c):
         return CyclotomicScalar.from_fraction(self.n, c)
 
     def q_power(self, e):
         return CyclotomicScalar.zeta_power(self.n, e)
 
-    def inv(self, x):
-        return x.inv()
-
-    def scalar_to_json(self, x):
-        return x.to_json()
-
     def scalar_from_json(self, data):
-        x = CyclotomicScalar.from_json(data)
-        if x.n != self.n:
-            raise ValueError(f"a scalar of Q(zeta_{x.n}) in the field {self.tag}")
-        return x
+        # read the order first: building Q(zeta_n) for a large wrong n is slow
+        n = int_from_json(data["n"])
+        if n != self.n:
+            raise ValueError(f"a scalar of Q(zeta_{n}) in the field {self.tag}")
+        return CyclotomicScalar.from_json(data)
 
 
 def field_from_tag(tag: str) -> CoeffField:
@@ -735,19 +622,9 @@ class Combination:
 
     def __init__(self, field: CoeffField, coeffs=None):
         self.field = field
-        out = {}
         if isinstance(coeffs, dict):
             coeffs = coeffs.items()
-        for k, v in coeffs or ():
-            k = self._key(k)
-            if v:
-                cur = out.get(k)
-                v = v if cur is None else cur + v
-                if v:
-                    out[k] = v
-                else:
-                    del out[k]
-        self.coeffs = out
+        self.coeffs = collect((self._key(k), v) for k, v in coeffs) if coeffs else {}
 
     @classmethod
     def zero(cls, field):
@@ -776,15 +653,7 @@ class Combination:
 
     def __add__(self, other):
         self.check_field(other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            s = out.get(k)
-            s = v if s is None else s + v
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-        return self._new(out)
+        return self._new(add_terms(self.coeffs, other.coeffs))
 
     def __neg__(self):
         return self._new({k: -v for k, v in self.coeffs.items()})

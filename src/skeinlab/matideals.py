@@ -76,12 +76,6 @@ class FinAlg:
                                 out[t] += c * row[t]
         return tuple(out)
 
-    def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def scale(self, a, c):
-        return tuple(x * c for x in a)
-
     @classmethod
     def univariate(cls, modulus):
         """Q[t]/(modulus), modulus ascending monic coefficients."""

@@ -11,7 +11,7 @@ from fractions import Fraction
 from operator import add, le, sub
 
 from .errors import SkeinError
-from .upoly import frac_from_json, frac_str, power
+from .upoly import DerivedOperators, add_terms, collect, frac_from_json, frac_str, power, power_text, signed_sum
 
 
 def lex_key(exps):
@@ -41,27 +41,22 @@ def monomial_lcm(a, b):
     return tuple(map(max, a, b))
 
 
-class MultiPoly:
+class MultiPoly(DerivedOperators):
     """Polynomial in named variables with exact coefficients."""
 
     __slots__ = ("vars", "terms")
 
     def __init__(self, variables, terms=None):
         self.vars = tuple(variables)
-        self.terms = {}
-        n = len(self.vars)
-        if terms:
-            for exps, c in (terms.items() if isinstance(terms, dict) else terms):
-                if c:
-                    exps = tuple(int(e) for e in exps)
-                    if len(exps) != n:
-                        raise SkeinError("exponent vector length mismatch")
-                    cur = self.terms.get(exps)
-                    c = c if cur is None else cur + c
-                    if c:
-                        self.terms[exps] = c
-                    elif exps in self.terms:
-                        del self.terms[exps]
+        if isinstance(terms, dict):
+            terms = terms.items()
+        self.terms = collect((self._exponents(exps), c) for exps, c in terms if c) if terms else {}
+
+    def _exponents(self, exps):
+        exps = tuple(int(e) for e in exps)
+        if len(exps) != len(self.vars):
+            raise SkeinError("exponent vector length mismatch")
+        return exps
 
     @classmethod
     def zero(cls, variables):
@@ -100,32 +95,14 @@ class MultiPoly:
         if type(other) is not MultiPoly and isinstance(other, (int, Fraction)):
             other = MultiPoly.constant(self.vars, other)
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            s = c if s is None else s + c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
         r = MultiPoly(self.vars)
-        r.terms = out
+        r.terms = add_terms(self.terms, other.terms)
         return r
-
-    __radd__ = __add__
 
     def __neg__(self):
         r = MultiPoly(self.vars)
         r.terms = {e: -c for e, c in self.terms.items()}
         return r
-
-    def __sub__(self, other):
-        if type(other) is not MultiPoly and isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(self.vars, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if type(other) is not MultiPoly and isinstance(other, (int, Fraction)):
@@ -194,25 +171,15 @@ class MultiPoly:
         return cls(variables, terms)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms, key=degrevlex_key, reverse=True):
-            c = self.terms[e]
-            mono = "*".join(
-                f"{v}^{k}" if k > 1 else v for v, k in zip(self.vars, e) if k
-            )
-            mag = abs(c)
-            ms = str(mag) if mag.denominator == 1 else f"({mag})"
-            if mono:
-                body = mono if mag == 1 else f"{ms}*{mono}"
-            else:
-                body = ms
-            parts.append(("-" if c < 0 else "+", body))
-        out = ("-" if parts[0][0] == "-" else "") + parts[0][1]
-        for s, b in parts[1:]:
-            out += f" {s} {b}"
-        return out
+        return signed_sum(
+            (
+                ("*".join(power_text(v, k) for v, k in zip(self.vars, e) if k), self.terms[e])
+                for e in sorted(self.terms, key=degrevlex_key, reverse=True)
+            ),
+            _coeff_text,
+        )
 
-    def __repr__(self):
-        return f"MultiPoly({self})"
+
+def _coeff_text(c):
+    """A coefficient as printed in a polynomial: a non-integer in parentheses."""
+    return frac_str(c) if c.denominator == 1 else f"({frac_str(c)})"

@@ -1,4 +1,5 @@
-"""Dense univariate polynomials over Q, and their factorization.
+"""Dense univariate polynomials over Q, their factorization, and the
+exact-arithmetic chores that every scalar type shares.
 
 This is the one module that knows the dense format: a polynomial is a list
 of ascending coefficients, each an ``int`` or a ``Fraction``, with no
@@ -12,6 +13,14 @@ square-free decomposition with ``gcd``/``divmod``, then Zassenhaus's method
 over Z (Berlekamp modulo a small prime, Hensel lifting, recombination by
 trial division).
 The private ``_*_mod`` helpers work on integer coefficients modulo ``m``.
+
+For every scalar and polynomial type (``coeffs``, ``multipoly``,
+``chebyshev``) it also holds the shared chores: ``power`` by squaring; the
+sparse term sums ``collect`` and ``add_terms`` on ``{key: coefficient}``;
+the rational text ``frac_str`` and its JSON readers; the signed-term text
+``signed_sum`` ("-3*q^2 + q - 1/2") with ``power_text``; and
+``DerivedOperators``, which gives ``-``, the reflected ``+`` and ``-``, and
+``repr`` from ``+``, unary ``-`` and ``str``.
 """
 
 from __future__ import annotations
@@ -97,11 +106,6 @@ def ext_gcd(a, b):
         s0 = [c / lead for c in s0]
         t0 = [c / lead for c in t0]
     return r0, s0, t0
-
-
-def lcm(a, b):
-    """Monic least common multiple of two nonzero polynomials."""
-    return _monic(divmod(mul(a, b), gcd(a, b))[0])
 
 
 def compose(a, b):
@@ -412,3 +416,79 @@ def int_from_json(x) -> int:
     if type(x) is not int:
         raise ValueError(f"expected an integer, got {x!r}")
     return x
+
+
+def collect(pairs):
+    """``{key: coefficient}`` summed from ``(key, coefficient)`` pairs; a key
+    whose coefficients sum to zero is left out."""
+    out = {}
+    for k, c in pairs:
+        if c:
+            cur = out.get(k)
+            c = c if cur is None else cur + c
+            if c:
+                out[k] = c
+            else:
+                del out[k]
+    return out
+
+
+def add_terms(a, b):
+    """The sum of two ``{key: nonzero coefficient}`` dicts, as a new dict."""
+    out = dict(a)
+    for k, c in b.items():
+        s = out.get(k)
+        s = c if s is None else s + c
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+    return out
+
+
+def power_text(var, e) -> str:
+    """Text of the monomial var^e: "" for e = 0, ``var`` for e = 1."""
+    return "" if e == 0 else var if e == 1 else f"{var}^{e}"
+
+
+def signed_sum(terms, coeff_text=frac_str) -> str:
+    """Text of a sum of ``(monomial text, coefficient)`` pairs, in the order
+    given, such as "-3*q^2 + q - 1/2".
+
+    The monomial "" is the constant term. A unit coefficient is not printed
+    in front of a monomial, a zero term is left out, and the empty sum is
+    "0". ``coeff_text`` writes a coefficient's absolute value.
+    """
+    out = ""
+    for mono, c in terms:
+        if not c:
+            continue
+        mag = abs(c)
+        body = coeff_text(mag) if not mono else mono if mag == 1 else f"{coeff_text(mag)}*{mono}"
+        if out:
+            out += " - " if c < 0 else " + "
+        elif c < 0:
+            out = "-"
+        out += body
+    return out or "0"
+
+
+class DerivedOperators:
+    """``__radd__``, ``__sub__``, ``__rsub__`` and ``__repr__`` from ``__add__``
+    (commutative, accepting an ``int`` or ``Fraction``), ``__neg__`` and
+    ``__str__``. The empty ``__slots__`` keeps a subclass with slots free of a
+    ``__dict__``."""
+
+    __slots__ = ()
+
+    def __radd__(self, other):
+        return self + other
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"

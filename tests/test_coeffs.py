@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skeinlab import coeffs
 from skeinlab.coeffs import (
     CyclotomicScalar,
     GenericQ,
@@ -17,6 +18,7 @@ from skeinlab.coeffs import (
 )
 from skeinlab.diagrams import AnnulusSkein
 from skeinlab.errors import FieldMismatchError, FourDividesOrderError
+from skeinlab.multipoly import MultiPoly
 from skeinlab.torus import TorusSkein
 
 
@@ -189,6 +191,28 @@ def test_field_tags_round_trip():
     for tag in ("generic", "rationals", "rationals(q=-1)", "zeta:5"):
         field = field_from_tag(tag)
         assert field_from_tag(field.tag) == field
+
+
+def test_zeta_field_reads_the_order_before_building_the_field(monkeypatch):
+    field = ZetaField(5)
+    build = coeffs._cyclo_data
+
+    def only_zeta_5(n):
+        if n != 5:
+            raise AssertionError(f"built Q(zeta_{n}) to read a scalar of the field zeta:5")
+        return build(n)
+
+    monkeypatch.setattr(coeffs, "_cyclo_data", only_zeta_5)
+    with pytest.raises(ValueError, match=r"a scalar of Q\(zeta_5040\) in the field zeta:5"):
+        field.scalar_from_json({"n": 5040, "coeffs": ["1", "2"]})
+    assert field.scalar_from_json({"n": 5, "coeffs": ["0", "1"]}) == field.q_power(1)
+
+
+def test_scalars_have_no_instance_dict():
+    # every scalar class and its bases declare __slots__, which keeps scalars small
+    values = [LaurentPoly.one(), RationalFunction(1), CyclotomicScalar.one(5), MultiPoly.constant(("x",), 1)]
+    for value in values:
+        assert not hasattr(value, "__dict__"), type(value).__name__
 
 
 def test_laurent_json_round_trip():

@@ -49,14 +49,6 @@ def test_ext_gcd_satisfies_bezout(a, b):
     assert upoly.add(upoly.mul(u, a), upoly.mul(v, b)) == g
 
 
-@settings(max_examples=80, deadline=None)
-@given(_nonzero, _nonzero)
-def test_lcm_times_gcd_is_product_up_to_a_unit(a, b):
-    lcm = upoly.lcm(a, b)
-    assert lcm[-1] == 1
-    assert upoly.mul(lcm, upoly.gcd(a, b)) == _monic(upoly.mul(a, b))
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_coeff, min_size=1, max_size=5))
 def test_reduction_rows_agree_with_divmod(low):
