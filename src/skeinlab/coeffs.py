@@ -200,7 +200,7 @@ class RationalFunction(DerivedOperators):
         return LaurentPoly.from_poly(pn, ln - ld), LaurentPoly.from_poly(pd)
 
     def is_laurent(self):
-        return self.den == LaurentPoly.one()
+        return self.den.terms == {0: 1}  # the denominator is monic with lowest exponent 0
 
     def __bool__(self):
         return bool(self.num)
@@ -275,16 +275,18 @@ _ZETA_POWERS: dict[tuple[int, int], "CyclotomicScalar"] = {}
 
 
 def cyclotomic_polynomial(n: int) -> list[int]:
-    """Ascending coefficients of Phi_n, a monic polynomial over Z."""
+    """Ascending coefficients of Phi_n, a monic polynomial over Z: x^n - 1
+    divided by the product of the Phi_d, d a proper divisor of n, each of
+    them built once and held by ``_cyclo_data``."""
     if n == 1:
         return [-1, 1]
-    poly = [-1] + [0] * (n - 1) + [1]  # q^n - 1
+    below = [1]
     for d in range(1, n):
         if n % d == 0:
-            q, r = upoly.divmod(poly, cyclotomic_polynomial(d))
-            assert not r
-            poly = [_canon(c) for c in q]
-    return poly
+            below = upoly.mul(below, _cyclo_data(d)[1])
+    q, r = upoly.divmod([-1] + [0] * (n - 1) + [1], below)
+    assert not r
+    return [_canon(c) for c in q]
 
 
 def _cyclo_data(n: int):

@@ -116,11 +116,15 @@ class _LaurentEchelon(Echelon):
     """The relation echelon over the generic field, eliminated fraction-free
     over Z[q, q^-1].
 
-    The rows hold Laurent polynomials: cross-multiplication plus stripping of
-    the monomial and integer content keeps every coefficient an ``int``.
-    Rational-function division would swamp the computation with gcd work.
-    Stored rows keep their pivots unnormalized, so this echelon answers
-    ``insert``, ``rank`` and ``copy``, not ``normal_form``.
+    The rows hold Laurent polynomials with ``int`` coefficients; rational-
+    function division would swamp the computation with gcd work. A stored row
+    is stripped of its monomial and integer content, and when its lead is then
+    a unit +-q^e it is divided by that unit, so the lead is exactly one. A step
+    against such a pivot is the field step ``_subtract`` on the pivot's keys
+    alone. Only a non-unit lead needs cross-multiplication, row by row, and a
+    strip of the result (Bareiss, Math. Comp. 22, 1968). Stored rows keep
+    non-unit pivots unnormalized, so this echelon answers ``insert``, ``rank``
+    and ``copy``, not ``normal_form``.
     """
 
     def _clear(self, row):
@@ -160,13 +164,22 @@ class _LaurentEchelon(Echelon):
             lead = max(row)
             piv = self.pivots.get(lead)
             if piv is None:
-                self.pivots[lead] = self._strip(row)
+                row = self._strip(row)
+                if len(row[lead].terms) == 1:
+                    ((e, c),) = row[lead].terms.items()
+                    if c in (1, -1):  # a unit lead +-q^e: store the row divided by it
+                        row = {k: v.shifted(-e) * c for k, v in row.items()}
+                self.pivots[lead] = row
                 return True
             if len(piv) == 1:
                 # singleton pivot: dropping the key spans the same ray
                 del row[lead]
                 continue
-            a, b = piv[lead], row[lead]
+            a = piv[lead]
+            if a.terms == {0: 1}:
+                self._subtract(row, piv, row.pop(lead), lead)
+                continue
+            b = row[lead]
             new = {}
             for k, v in row.items():
                 w = piv.get(k)

@@ -6,10 +6,14 @@ inv/zero/one.
 
 Every elimination over a field goes through one kernel, ``Echelon``: a
 sparse row echelon form built one row at a time. Rank, membership, normal
-forms and minimal polynomials are all read off it. A minimal polynomial uses
-tag keys: Krylov vector t carries the key ``-1 - t``, and since these tags
-sort below every (non-negative) column, the columns are eliminated first and
-the first vector that reduces to tags alone records the linear relation.
+forms and minimal polynomials are all read off it. A step subtracts c times
+a pivot row (pivot entry one) in place, on that row's keys alone; the
+fraction-free subclass in ``heegaard`` stores unit leads as one to take the
+same step and cross-multiplies only against a non-unit lead. A minimal
+polynomial uses tag keys: Krylov vector t carries the key ``-1 - t``, and
+since these tags sort below every (non-negative) column, the columns are
+eliminated first and the first vector that reduces to tags alone records the
+linear relation.
 """
 
 from __future__ import annotations
@@ -43,7 +47,8 @@ class Echelon:
 
     def insert(self, row: dict) -> bool:
         """Reduce ``row`` and store what is left as a new pivot row; False if
-        it reduced to zero."""
+        it reduced to zero. The caller's ``row`` is left as it was."""
+        row = dict(row)
         while row:
             lead = max(row)
             piv = self.pivots.get(lead)
@@ -51,19 +56,7 @@ class Echelon:
                 c = self.field.inv(row[lead])
                 self.pivots[lead] = {k: v * c for k, v in row.items()}
                 return True
-            factor = row[lead]
-            new = {}
-            for k, v in row.items():
-                w = piv.get(k)
-                nv = v - w * factor if w is not None else v
-                if nv:
-                    new[k] = nv
-            for k, w in piv.items():
-                if k not in row:
-                    nv = -(w * factor)
-                    if nv:
-                        new[k] = nv
-            row = new
+            self._subtract(row, piv, row.pop(lead), lead)
         return False
 
     def normal_form(self, row: dict) -> dict:
@@ -78,16 +71,23 @@ class Echelon:
             piv = self.pivots.get(lead)
             if piv is None:
                 out[lead] = c
-                continue
-            for k, w in piv.items():
-                if k != lead:
-                    v = row.get(k)
-                    nv = -(w * c) if v is None else v - w * c
-                    if nv:
-                        row[k] = nv
-                    elif v is not None:
-                        del row[k]
+            else:
+                self._subtract(row, piv, c, lead)
         return out
+
+    @staticmethod
+    def _subtract(row, piv, c, lead):
+        """``row -= c * piv`` in place, on the keys of ``piv`` other than ``lead``
+        (whose pivot entry is one, and which the caller has already taken out of
+        ``row``). Keys outside ``piv`` are not touched."""
+        for k, w in piv.items():
+            if k != lead:
+                v = row.get(k)
+                nv = -(w * c) if v is None else v - w * c
+                if nv:
+                    row[k] = nv
+                elif v is not None:
+                    del row[k]
 
     def rank(self):
         return len(self.pivots)

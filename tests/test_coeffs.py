@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skeinlab import coeffs
+from skeinlab import coeffs, upoly
 from skeinlab.coeffs import (
     CyclotomicScalar,
     GenericQ,
@@ -69,6 +69,32 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(3) == [1, 1, 1]
     assert cyclotomic_polynomial(6) == [1, -1, 1]
     assert cyclotomic_polynomial(12) == [1, 0, -1, 0, 1]
+
+
+def test_cyclotomic_polynomials_multiply_to_x_n_minus_1():
+    for n in range(1, 121):
+        prod = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                prod = upoly.mul(prod, cyclotomic_polynomial(d))
+        assert prod == [-1] + [0] * (n - 1) + [1]
+
+
+def test_cyclotomic_polynomial_divides_once_per_divisor(monkeypatch):
+    # Phi_n is x^n - 1 over the product of the Phi_d held for the proper
+    # divisors d, so a cold build of Phi_630 divides once for each divisor
+    divisions = []
+    plain = upoly.divmod
+
+    def counting(a, b):
+        divisions.append(len(b) - 1)
+        return plain(a, b)
+
+    monkeypatch.setattr(upoly, "divmod", counting)
+    monkeypatch.setattr(coeffs, "_CYCLO_CACHE", {})
+    phi = cyclotomic_polynomial(630)
+    assert len(phi) - 1 == 144  # Euler's phi(630)
+    assert 0 < len(divisions) <= sum(1 for d in range(1, 631) if 630 % d == 0)
 
 
 def _cyclo(n):

@@ -5,9 +5,10 @@ import os
 import pytest
 
 from skeinlab import heegaard
-from skeinlab.coeffs import GenericQ, ZetaField, field_from_tag
+from skeinlab.coeffs import GenericQ, LaurentPoly, ZetaField, field_from_tag
 from skeinlab.errors import SkeinError, StabilizationError
 from skeinlab.heegaard import GluingMatrix, dim_K_q, lens_module
+from skeinlab.linalg import Echelon
 
 F = GenericQ()
 
@@ -151,6 +152,44 @@ def test_incremental_windows_match_fresh_eliminations(p, q, tag):
         fresh = next(heegaard._windows(gluing, field, M))
         assert fresh == (M, dim, basis)
         assert dim == len(basis)
+
+
+@pytest.mark.parametrize("p, q", [(2, 1), (3, 1), (3, -1), (4, 1), (5, 1)])
+def test_fraction_free_elimination_matches_division_in_q_of_q(p, q, monkeypatch):
+    # the oracle is the field elimination of linalg, which divides in Q(q)
+    gluing = GluingMatrix.lens(p, q)
+    start = max(abs(p) + 2, 4)
+    fraction_free = list(itertools.islice(heegaard._windows(gluing, F, start), 3))
+    monkeypatch.setattr(heegaard, "_LaurentEchelon", Echelon)
+    assert list(itertools.islice(heegaard._windows(gluing, F, start), 3)) == fraction_free
+
+
+def test_unit_lead_pivot_is_stored_with_lead_one():
+    ech = heegaard._LaurentEchelon(F)
+    # lead -q^3; the content strip shifts it to -q^4, then the row is divided by it
+    assert ech.insert({(1, 0): -F.q_power(3), (0, 0): F.from_fraction(2) * F.q_power(-1) + F.one()})
+    piv = ech.pivots[(1, 0)]
+    assert piv[(1, 0)] == LaurentPoly.one()
+    assert piv[(0, 0)] == LaurentPoly({-4: -2, -3: -1})
+    assert all(type(c) is int for v in piv.values() for c in v.terms.values())
+    # a non-unit lead is kept as it is, and a step against it still reduces
+    assert ech.insert({(2, 0): F.from_fraction(2) + F.q_power(1), (1, 0): F.one()})
+    assert ech.pivots[(2, 0)][(2, 0)] == LaurentPoly({0: 2, 1: 1})
+    assert not ech.insert({(2, 0): F.from_fraction(4) + F.q_power(1) * 2, (1, 0): F.from_fraction(2)})
+    assert ech.insert({(2, 0): F.one()})
+
+
+def test_lens_reports_are_pinned():
+    # printed when every generic step still cross-multiplied, before unit-lead pivots
+    assert lens_module(5, 2, F).to_json() == {
+        "p": 5, "q": 2, "field": "generic", "truncation": 7, "dimension": 3, "stabilized": True,
+        "basis": ["zH^0*zB^0", "zH^0*zB^1", "zH^0*zB^2"], "dims_by_truncation": {"7": 3, "8": 3, "9": 3},
+    }
+    for tag in ("zeta:5", "rationals(q=-1)"):
+        assert lens_module(3, 1, field_from_tag(tag)).to_json() == {
+            "p": 3, "q": 1, "field": tag, "truncation": 5, "dimension": 2, "stabilized": True,
+            "basis": ["zH^0*zB^0", "zH^0*zB^1"], "dims_by_truncation": {"5": 2, "6": 2, "7": 2},
+        }
 
 
 def test_echelon_copy_leaves_original_untouched():

@@ -63,6 +63,28 @@ def test_pivots_are_largest_keys_scaled_to_one():
     assert ech.rank() == 2
 
 
+def test_insert_leaves_the_callers_row_unchanged():
+    ech = Echelon()
+    assert ech.insert({0: Fraction(1), 2: Fraction(3)})
+    row = {2: Fraction(5), 1: Fraction(1)}
+    assert ech.insert(row)
+    assert row == {2: Fraction(5), 1: Fraction(1)}
+    again = dict(row)
+    assert not ech.insert(again)
+    assert again == row
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_insert_is_false_exactly_when_the_normal_form_is_empty(seed):
+    rng = random.Random(2000 + seed)
+    cols = rng.randint(1, 6)
+    ech = Echelon()
+    for v in _random_matrix(rng, rng.randint(1, 8), cols):
+        row = sparse(v)
+        reduced = ech.normal_form(row)
+        assert ech.insert(row) == bool(reduced)
+
+
 def test_echelon_copy_leaves_original_untouched():
     ech = Echelon()
     assert ech.insert({0: Fraction(1), 2: Fraction(3)})
