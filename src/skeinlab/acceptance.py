@@ -14,11 +14,10 @@ from itertools import product as iter_product
 
 from . import upoly
 from .artinian import PresentedModule, artinian_decompose, specialize_vs_localize
-from .braids import braid_closure
 from .charring import GroupPresentation, char_ring, trace_poly
 from .chebyshev import cheb_T
 from .coeffs import GenericQ, Rationals, ZetaField, root_spec
-from .diagrams import ANNULUS, DISK, AnnulusSkein, FramedDiagram, bracket_annulus, bracket_disk, pushed_curve_with_cores
+from .diagrams import ANNULUS, DISK, AnnulusSkein, FramedDiagram, braid_closure, bracket_annulus, bracket_disk, pushed_curve_with_cores
 from .errors import FourDividesOrderError
 from .groebner import PolyIdeal, buchberger
 from .heegaard import dim_K_q, lens_module

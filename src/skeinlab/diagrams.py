@@ -20,11 +20,15 @@ The production evaluator resolves crossings recursively with memoization on
 canonicalized diagrams and factors out curls and crossing-free circles as it
 goes. The exhaustive state sum lives in ``skeinlab.oracle`` and is used only
 to cross-check this engine.
+
+Closed braids are built here too. A (p,q) torus boundary curve pushed into
+the solid torus next to k cores is the closed braid of its q steps, each
+taking one curve strand around the cores and across the other curve strands
+(Kassel-Turaev, Braid Groups, ch. 2). Its crossings are listed, and so
+resolved, one core at a time, then the curve's own crossings.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from . import upoly
 from .coeffs import CoeffField, Combination
@@ -302,9 +306,9 @@ class _Evaluator:
         cached = self.memo.get(key)
         if cached is None:
             # resolve in list order: constructors emit crossings so that
-            # consecutive entries are geometrically local (one core of the
-            # band, or one braid letter, at a time), which keeps the set of
-            # reachable partial diagrams small
+            # consecutive entries are geometrically local (one core at a
+            # time, or one braid letter), which keeps the set of reachable
+            # partial diagrams small
             c = crossings[0]
             rest = crossings[1:]
             ca, pa, fa, za = self._child(rest, parity, c, ((0, 1), (2, 3)))
@@ -333,31 +337,60 @@ def bracket_disk(diagram: FramedDiagram, field: CoeffField):
 
 
 # ---------------------------------------------------------------------------
+# closed braids
+
+
+def braid_closure(word, strands: int, surface: str = DISK) -> FramedDiagram:
+    """Closure of a braid word on ``strands`` strands, in the disk or annulus.
+
+    Letters are nonzero integers: +i is the positive generator crossing
+    strands i, i+1 (left strand over), -i its inverse. Each strand closes up
+    around the annulus, so each closure arc crosses the reference ray once
+    and carries one winding mark. Crossings are listed in word order.
+    """
+    if strands < 1:
+        raise DiagramError("braid needs at least one strand")
+    for g in word:
+        if g == 0 or abs(g) >= strands:
+            raise DiagramError(f"braid letter {g} out of range for {strands} strands")
+    next_arc = strands
+    current = list(range(strands))  # arc at each position, bottom to top
+    start = list(range(strands))
+    crossings = []
+    for g in word:
+        i = abs(g) - 1
+        below_l, below_r = current[i], current[i + 1]
+        above_l, above_r = next_arc, next_arc + 1
+        next_arc += 2
+        if g > 0:
+            # left strand over: under-strand comes in at the lower right
+            crossings.append((below_r, above_r, above_l, below_l))
+        else:
+            crossings.append((below_l, below_r, above_r, above_l))
+        current[i], current[i + 1] = above_l, above_r
+    # close up: identify top arcs with the corresponding start arcs
+    rename = {}
+    for pos in range(strands):
+        top, bottom = current[pos], start[pos]
+        if top != bottom:
+            rename[top] = bottom
+    pd = [tuple(rename.get(a, a) for a in c) for c in crossings]
+    used = {a for c in pd for a in c}
+    # strands never crossed close into free circles
+    free = sum(1 for pos in range(strands) if current[pos] == start[pos] and start[pos] not in used)
+    if surface == DISK:
+        return FramedDiagram(DISK, pd, free_loops=free)
+    closed = {rename.get(current[pos], current[pos]) for pos in range(strands)}
+    marks = {a: 1 for a in closed if a in used}
+    return FramedDiagram(ANNULUS, pd, free_loops=0, free_cores=free, winding_marks=marks)
+
+
+# ---------------------------------------------------------------------------
 # torus boundary curves pushed into the solid torus
 #
-# The (p,q) curve on the boundary torus is parametrized by
-#     theta(t) = p t (mod 1),   x(t) = cos(2 pi q t),   y(t) = sin(2 pi q t)
-# and projected to the annulus coordinates (theta, x); y is the over/under
-# level. A strand is drawn over when its y is negative. Cores sit at
-# x_i = cos(2 pi s_i) with s_i slightly below 1/4, so each meridional wrap of
-# the curve crosses every core twice. All event times are exact rationals.
-
-
-def _sin_sign(u: Fraction) -> int:
-    u = u - (u.numerator // u.denominator)  # u mod 1 in [0,1)
-    if u == 0 or 2 * u == 1:
-        raise DiagramError("degenerate event in curve construction")
-    return 1 if 2 * u < 1 else -1
-
-
-def _next_safe_prime(p, q, k):
-    bad = 2 * max(1, abs(p)) * max(1, abs(q)) * (k + 1)
-    n = max(11, abs(p) + abs(q) + k + 3)
-    while True:
-        n += 1
-        if all(n % d for d in range(2, int(n**0.5) + 1)):
-            if bad % n:
-                return n
+# The meridian (0,+-1) is the ring x = cos(2 pi t), y = sin(2 pi q t) around
+# the cores, in the annulus coordinate x and the height y: it is drawn over a
+# core where y < 0, and it crosses each core twice.
 
 
 def _ring_with_cores(q_sign: int, k: int) -> FramedDiagram:
@@ -413,9 +446,15 @@ def pushed_curve_with_cores(p: int, q: int, cores: int) -> FramedDiagram:
     ``cores`` parallel copies of the core circle.
 
     The label must be primitive; p may be 0 only for the meridian (0,+-1).
+    For p >= 1 the diagram is a closed braid on cores + p strands, the
+    cores on strands 1..cores: each of the q steps takes the curve strand
+    next to them once around all cores and then across the other p - 1
+    curve strands.
     """
     import math
 
+    if type(cores) is not int or cores < 0:
+        raise DiagramError(f"the number of cores is a non-negative integer, got {cores!r}")
     if (p, q) == (0, 0):
         raise DiagramError("(0,0) is not a curve")
     if math.gcd(abs(p), abs(q)) != 1:
@@ -425,151 +464,10 @@ def pushed_curve_with_cores(p: int, q: int, cores: int) -> FramedDiagram:
     k = cores
     if p == 0:
         return _ring_with_cores(1 if q > 0 else -1, k)
-    if q == 0 or k == 0 and p == 1:
-        # no self crossings and either no dips or nothing to cross
-        if q == 0:
-            return FramedDiagram(ANNULUS, free_cores=k + 1)
-        return FramedDiagram(ANNULUS, free_cores=1)
-
-    P = _next_safe_prime(p, q, k)
-    s = [Fraction(1, 4) - Fraction(i, P * (k + 1)) for i in range(1, k + 1)]
-    theta_ray = Fraction(1, 2 * P * P * (k + 2) * (abs(q) + 1) * (p + 1))
-
-    events = []  # (t, kind, payload)
-    pair_seen = set()
-    pair_id = 0
-    for a in range(1, p):
-        for n in range(0, 2 * abs(q)):
-            t1 = Fraction(n, 2 * q) - Fraction(a, 2 * p)
-            t1 -= t1.numerator // t1.denominator
-            t2 = t1 + Fraction(a, p)
-            t2 -= t2.numerator // t2.denominator
-            key = frozenset((t1, t2))
-            if key in pair_seen:
-                continue
-            pair_seen.add(key)
-            events.append((t1, "self", pair_id))
-            events.append((t2, "self", pair_id))
-            pair_id += 1
-    for i in range(1, k + 1):
-        for sign in (1, -1):
-            for j in range(0, abs(q)):
-                t = Fraction(sign, 1) * s[i - 1] / q + Fraction(j, q)
-                t -= t.numerator // t.denominator
-                events.append((t, "core", i))
-
-    events.sort(key=lambda e: e[0])
-    times = [e[0] for e in events]
-    if len(set(times)) != len(times):
-        raise DiagramError("coincident events in curve construction")
-    ne = len(events)
-
-    # curve arcs between consecutive events; arc j runs event j -> event j+1
-    def curve_mark(ta, tb):
-        # number of integer points of p*t - theta_ray in (p*ta, p*tb)
-        fa = p * ta - theta_ray
-        fb = p * tb - theta_ray
-        return (fb.numerator // fb.denominator) - (fa.numerator // fa.denominator)
-
-    curve_arcs = []
-    for j in range(ne):
-        ta = times[j]
-        tb = times[(j + 1) % ne] if j + 1 < ne else times[0] + 1
-        curve_arcs.append((("c", j), curve_mark(ta, tb)))
-
-    marks = {}
-    for name, mk in curve_arcs:
-        marks[name] = mk
-
-    def curve_in(j):
-        return curve_arcs[(j - 1) % ne][0]
-
-    def curve_out(j):
-        return curve_arcs[j][0]
-
-    # core arcs
-    core_events = {i: [] for i in range(1, k + 1)}
-    for j, (t, kind, payload) in enumerate(events):
-        if kind == "core":
-            ang = p * t
-            ang -= ang.numerator // ang.denominator
-            core_events[payload].append((ang, j))
-    core_in = {}
-    core_out = {}
-    for i, evs in core_events.items():
-        evs.sort()
-        m = len(evs)
-        for idx, (ang, j) in enumerate(evs):
-            nxt_ang = evs[(idx + 1) % m][0]
-            name = ("k", i, idx)
-            lo, hi = ang, (nxt_ang if idx + 1 < m else nxt_ang + 1)
-            r = theta_ray
-            count = 0
-            # ray at angle theta_ray (mod 1) inside (lo, hi)?
-            x = r
-            while x <= hi:
-                if x > lo:
-                    count += 1
-                x += 1
-            marks[name] = count
-            core_out[j] = name
-            core_in[evs[(idx + 1) % m][1]] = name
-
-    tagged = []  # (sort_key, pd_tuple); cores inner-to-outer first, braid last
-    pair_partner = {}
-    for j, (t, kind, payload) in enumerate(events):
-        if kind == "self":
-            if payload in pair_partner:
-                j1 = pair_partner[payload]
-                j2 = j
-                t1, t2 = times[j1], times[j2]
-                ss1 = _sin_sign(q * t1)
-                ss2 = _sin_sign(q * t2)
-                assert ss1 == -ss2
-                # over iff y < 0 iff sin sign < 0
-                ju, jo = (j1, j2) if ss1 > 0 else (j2, j1)
-                dx_u = -q * _sin_sign(q * times[ju])  # sign of dx/dt
-                dx_o = -q * _sin_sign(q * times[jo])
-                cross = dx_o - dx_u  # sign of p*(dx_o - dx_u)
-                a_arc = curve_in(ju)
-                c_arc = curve_out(ju)
-                if cross < 0:
-                    b_arc, d_arc = curve_out(jo), curve_in(jo)
-                else:
-                    b_arc, d_arc = curve_in(jo), curve_out(jo)
-                tagged.append(((1, 0, t), (a_arc, b_arc, c_arc, d_arc)))
-            else:
-                pair_partner[payload] = j
-        else:
-            ss = _sin_sign(q * t)
-            dx = -q * ss
-            if ss < 0:
-                # curve over, core under: v_u = (1,0), v_o = (p, dx); cross = dx
-                a_arc, c_arc = core_in[j], core_out[j]
-                if dx < 0:
-                    b_arc, d_arc = curve_out(j), curve_in(j)
-                else:
-                    b_arc, d_arc = curve_in(j), curve_out(j)
-            else:
-                # curve under, core over: v_u = (p, dx), v_o = (1,0); cross = -dx
-                a_arc, c_arc = curve_in(j), curve_out(j)
-                if -dx < 0:
-                    b_arc, d_arc = core_out[j], core_in[j]
-                else:
-                    b_arc, d_arc = core_in[j], core_out[j]
-            tagged.append(((0, payload, t), (a_arc, b_arc, c_arc, d_arc)))
-
-    crossings = [c for _, c in sorted(tagged, key=lambda e: e[0])]
-    expected = (p - 1) * abs(q) + 2 * abs(q) * k
-    assert len(crossings) == expected, (len(crossings), expected)
-
-    names = {}
-
-    def nm(a):
-        if a not in names:
-            names[a] = len(names)
-        return names[a]
-
-    pd = [tuple(nm(a) for a in c) for c in crossings]
-    int_marks = {nm(a): m for a, m in marks.items() if a in names}
-    return FramedDiagram(ANNULUS, pd, winding_marks=int_marks)
+    step = [*range(k, 0, -1), *range(1, k + p)]
+    word = [-g for g in step] * q if q > 0 else step[::-1] * -q
+    d = braid_closure(word, k + p, ANNULUS)
+    # resolve one core at a time, then the curve's own crossings: in word
+    # order the partial diagrams, and the memo, grow much larger
+    order = sorted(range(len(word)), key=lambda j: min(abs(word[j]), k + 1))
+    return FramedDiagram(ANNULUS, [d.crossings[j] for j in order], d.free_loops, d.free_cores, d.winding_marks)

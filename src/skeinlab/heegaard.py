@@ -152,10 +152,12 @@ class _LaurentEchelon(Echelon):
             for c in v.terms.values():
                 g = math.gcd(g, c)
         if shift or g != 1:
-            row = {
-                k: LaurentPoly({e - shift: c // g for e, c in v.terms.items()})
-                for k, v in row.items()
-            }
+            # the shifted quotients are nonzero ints already: skip the constructor
+            stripped = {}
+            for k, v in row.items():
+                w = stripped[k] = LaurentPoly.__new__(LaurentPoly)
+                w.terms = {e - shift: c // g for e, c in v.terms.items()}
+            row = stripped
         return row
 
     def insert(self, row: dict) -> bool:

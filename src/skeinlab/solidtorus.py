@@ -98,10 +98,10 @@ def diagram_columns(p: int, q: int, upto: int, field: CoeffField) -> list[Annulu
 
     Push the primitive curve into a boundary collar, stack it with k parallel
     cores, evaluate the bracket, and rescale by the surface-framing
-    normalization (-q^3)^(-q) for p, q both nonzero. The normalization
-    accounts for the difference between the blackboard framing of the
-    flattened closed-braid projection and the framing the curve inherits
-    from the boundary torus.
+    normalization (-q^3)^(-q) for p, q both nonzero. For p >= 1 the diagram
+    is a literal closed braid (``pushed_curve_with_cores``), and the
+    normalization accounts for the difference between its blackboard framing
+    and the framing the curve inherits from the boundary torus.
     """
     p, q = normalize_label(p, q)
     framing = field.one() if p == 0 or q == 0 else (-field.q_power(3)) ** (-q)

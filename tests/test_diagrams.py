@@ -1,17 +1,24 @@
+import math
+import os
+import subprocess
+import sys
+
 import pytest
 
-from skeinlab.braids import braid_closure
-from skeinlab.coeffs import GenericQ, ZetaField
+import skeinlab
+from skeinlab.coeffs import GenericQ, ZetaField, field_from_tag
 from skeinlab.diagrams import (
     ANNULUS,
     DISK,
     AnnulusSkein,
     FramedDiagram,
+    braid_closure,
     bracket_annulus,
     bracket_disk,
     pushed_curve_with_cores,
 )
 from skeinlab.errors import DiagramError
+from skeinlab.jsonio import canonical_dumps
 from skeinlab.oracle import state_sum
 
 F = GenericQ()
@@ -93,6 +100,107 @@ def test_pushed_curves_match_oracle(pqk):
     d = pushed_curve_with_cores(p, q_, k)
     assert bracket_annulus(d, F) == state_sum(d, F)
 
+
+def _components(d):
+    """Total winding mark of each component, free cores included (mark 1)."""
+    parent = {a: a for a in d.arcs()}
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for c in d.crossings:  # each strand runs 0 -> 2 (under) and 1 -> 3 (over)
+        parent[find(c[0])] = find(c[2])
+        parent[find(c[1])] = find(c[3])
+    marks = {}
+    for a in parent:
+        r = find(a)
+        marks[r] = marks.get(r, 0) + d.winding_marks.get(a, 0)
+    return sorted(list(marks.values()) + [1] * d.free_cores + [0] * d.free_loops)
+
+
+def test_pushed_curve_structure():
+    # the curve crosses itself (p-1)|q| times and each core 2|q| times; it is
+    # one component winding p times around the annulus, next to k cores
+    for p in range(5):
+        for q_ in range(-3, 4):
+            if math.gcd(p, abs(q_)) != 1 or p == 0 and abs(q_) != 1:
+                continue
+            for k in range(5):
+                d = pushed_curve_with_cores(p, q_, k)
+                assert len(d.crossings) == max(p - 1, 0) * abs(q_) + 2 * abs(q_) * k
+                marks = _components(d)
+                marks.remove(p)
+                assert marks == [1] * k
+
+
+@pytest.mark.parametrize("pqk", [(0, 1, -1), (1, 1, -2), (2, 1, -1), (3, 2, -1), (1, 1, 1.0), (2, 1, "1"), (1, 0, True)])
+def test_pushed_curve_rejects_bad_core_counts(pqk):
+    # in a child process: a bad count must fail fast, not return or hang
+    src = os.path.dirname(os.path.dirname(skeinlab.__file__))
+    code = (
+        "from skeinlab.diagrams import pushed_curve_with_cores\n"
+        "from skeinlab.errors import DiagramError\n"
+        "try:\n"
+        f"    pushed_curve_with_cores(*{pqk!r})\n"
+        "except DiagramError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit('accepted')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+
+
+# canonical JSON of bracket_annulus(pushed_curve_with_cores(p, q, k))
+PINNED_BRACKETS = {
+    ('generic', (1, 1, 2)): '{"field":"generic","terms":[[1,{"num":{"terms":[[-4,"-2"],[0,"1"],[8,"1"]]}}],[3,{"num":{"terms":[[-4,"1"]]}}]]}',
+    ('generic', (1, -1, 2)): '{"field":"generic","terms":[[1,{"num":{"terms":[[-8,"1"],[0,"1"],[4,"-2"]]}}],[3,{"num":{"terms":[[4,"1"]]}}]]}',
+    ('generic', (1, 2, 3)): '{"field":"generic","terms":[[0,{"num":{"terms":[[-12,"1"],[-4,"-2"],[12,"2"],[20,"-1"]]}}],[2,{"num":{"terms":[[-12,"-3"],[-4,"2"],[20,"1"]]}}],[4,{"num":{"terms":[[-12,"1"]]}}]]}',
+    ('generic', (2, 1, 2)): '{"field":"generic","terms":[[0,{"num":{"terms":[[-5,"1"],[-1,"-1"],[3,"-1"],[7,"1"]]}}],[2,{"num":{"terms":[[-5,"-3"],[-1,"1"]]}}],[4,{"num":{"terms":[[-5,"1"]]}}]]}',
+    ('generic', (2, -1, 2)): '{"field":"generic","terms":[[0,{"num":{"terms":[[-7,"1"],[-3,"-1"],[1,"-1"],[5,"1"]]}}],[2,{"num":{"terms":[[1,"1"],[5,"-3"]]}}],[4,{"num":{"terms":[[5,"1"]]}}]]}',
+    ('generic', (3, 1, 1)): '{"field":"generic","terms":[[0,{"num":{"terms":[[-4,"1"],[4,"-1"]]}}],[2,{"num":{"terms":[[-4,"-3"]]}}],[4,{"num":{"terms":[[-4,"1"]]}}]]}',
+    ('generic', (3, 2, 1)): '{"field":"generic","terms":[[0,{"num":{"terms":[[-8,"1"],[8,"-1"]]}}],[2,{"num":{"terms":[[-8,"-3"]]}}],[4,{"num":{"terms":[[-8,"1"]]}}]]}',
+    ('generic', (3, -2, 1)): '{"field":"generic","terms":[[0,{"num":{"terms":[[-8,"-1"],[8,"1"]]}}],[2,{"num":{"terms":[[8,"-3"]]}}],[4,{"num":{"terms":[[8,"1"]]}}]]}',
+    ('generic', (2, 3, 1)): '{"field":"generic","terms":[[1,{"num":{"terms":[[-9,"-2"]]}}],[3,{"num":{"terms":[[-9,"1"]]}}]]}',
+    ('generic', (4, 1, 1)): '{"field":"generic","terms":[[1,{"num":{"terms":[[-5,"3"],[3,"-1"]]}}],[3,{"num":{"terms":[[-5,"-4"]]}}],[5,{"num":{"terms":[[-5,"1"]]}}]]}',
+    ('generic', (0, 1, 2)): '{"field":"generic","terms":[[0,{"num":{"terms":[[-6,"1"],[-2,"-1"],[2,"-1"],[6,"1"]]}}],[2,{"num":{"terms":[[-6,"-1"],[6,"-1"]]}}]]}',
+    ('generic', (0, -1, 2)): '{"field":"generic","terms":[[0,{"num":{"terms":[[-6,"1"],[-2,"-1"],[2,"-1"],[6,"1"]]}}],[2,{"num":{"terms":[[-6,"-1"],[6,"-1"]]}}]]}',
+    ('zeta:5', (1, 1, 2)): '{"field":"zeta:5","terms":[[1,{"coeffs":["1","-2","0","1"],"n":5}],[3,{"coeffs":["0","1","0","0"],"n":5}]]}',
+    ('zeta:5', (1, -1, 2)): '{"field":"zeta:5","terms":[[1,{"coeffs":["3","2","3","2"],"n":5}],[3,{"coeffs":["-1","-1","-1","-1"],"n":5}]]}',
+    ('zeta:5', (1, 2, 3)): '{"field":"zeta:5","terms":[[0,{"coeffs":["-1","-2","2","1"],"n":5}],[2,{"coeffs":["1","2","0","-3"],"n":5}],[4,{"coeffs":["0","0","0","1"],"n":5}]]}',
+    ('zeta:5', (2, 1, 2)): '{"field":"zeta:5","terms":[[0,{"coeffs":["2","1","2","0"],"n":5}],[2,{"coeffs":["-4","-1","-1","-1"],"n":5}],[4,{"coeffs":["1","0","0","0"],"n":5}]]}',
+    ('zeta:5', (2, -1, 2)): '{"field":"zeta:5","terms":[[0,{"coeffs":["1","-1","-1","1"],"n":5}],[2,{"coeffs":["-3","1","0","0"],"n":5}],[4,{"coeffs":["1","0","0","0"],"n":5}]]}',
+    ('zeta:5', (3, 1, 1)): '{"field":"zeta:5","terms":[[0,{"coeffs":["1","2","1","1"],"n":5}],[2,{"coeffs":["0","-3","0","0"],"n":5}],[4,{"coeffs":["0","1","0","0"],"n":5}]]}',
+    ('zeta:5', (3, 2, 1)): '{"field":"zeta:5","terms":[[0,{"coeffs":["0","0","1","-1"],"n":5}],[2,{"coeffs":["0","0","-3","0"],"n":5}],[4,{"coeffs":["0","0","1","0"],"n":5}]]}',
+    ('zeta:5', (3, -2, 1)): '{"field":"zeta:5","terms":[[0,{"coeffs":["0","0","-1","1"],"n":5}],[2,{"coeffs":["0","0","0","-3"],"n":5}],[4,{"coeffs":["0","0","0","1"],"n":5}]]}',
+    ('zeta:5', (2, 3, 1)): '{"field":"zeta:5","terms":[[1,{"coeffs":["0","-2","0","0"],"n":5}],[3,{"coeffs":["0","1","0","0"],"n":5}]]}',
+    ('zeta:5', (4, 1, 1)): '{"field":"zeta:5","terms":[[1,{"coeffs":["3","0","0","-1"],"n":5}],[3,{"coeffs":["-4","0","0","0"],"n":5}],[5,{"coeffs":["1","0","0","0"],"n":5}]]}',
+    ('zeta:5', (0, 1, 2)): '{"field":"zeta:5","terms":[[0,{"coeffs":["-1","0","-2","-2"],"n":5}],[2,{"coeffs":["1","0","1","1"],"n":5}]]}',
+    ('zeta:5', (0, -1, 2)): '{"field":"zeta:5","terms":[[0,{"coeffs":["-1","0","-2","-2"],"n":5}],[2,{"coeffs":["1","0","1","1"],"n":5}]]}',
+    ('rationals(q=-1)', (1, 1, 2)): '{"field":"rationals(q=-1)","terms":[[3,"1"]]}',
+    ('rationals(q=-1)', (1, -1, 2)): '{"field":"rationals(q=-1)","terms":[[3,"1"]]}',
+    ('rationals(q=-1)', (1, 2, 3)): '{"field":"rationals(q=-1)","terms":[[4,"1"]]}',
+    ('rationals(q=-1)', (2, 1, 2)): '{"field":"rationals(q=-1)","terms":[[2,"2"],[4,"-1"]]}',
+    ('rationals(q=-1)', (2, -1, 2)): '{"field":"rationals(q=-1)","terms":[[2,"2"],[4,"-1"]]}',
+    ('rationals(q=-1)', (3, 1, 1)): '{"field":"rationals(q=-1)","terms":[[2,"-3"],[4,"1"]]}',
+    ('rationals(q=-1)', (3, 2, 1)): '{"field":"rationals(q=-1)","terms":[[2,"-3"],[4,"1"]]}',
+    ('rationals(q=-1)', (3, -2, 1)): '{"field":"rationals(q=-1)","terms":[[2,"-3"],[4,"1"]]}',
+    ('rationals(q=-1)', (2, 3, 1)): '{"field":"rationals(q=-1)","terms":[[1,"2"],[3,"-1"]]}',
+    ('rationals(q=-1)', (4, 1, 1)): '{"field":"rationals(q=-1)","terms":[[1,"-2"],[3,"4"],[5,"-1"]]}',
+    ('rationals(q=-1)', (0, 1, 2)): '{"field":"rationals(q=-1)","terms":[[2,"-2"]]}',
+    ('rationals(q=-1)', (0, -1, 2)): '{"field":"rationals(q=-1)","terms":[[2,"-2"]]}',
+}
+
+
+@pytest.mark.parametrize("tag", ["generic", "zeta:5", "rationals(q=-1)"])
+def test_pushed_curve_brackets_are_pinned(tag):
+    field = field_from_tag(tag)
+    for (t, pqk), expected in PINNED_BRACKETS.items():
+        if t == tag:
+            value = bracket_annulus(pushed_curve_with_cores(*pqk), field)
+            assert canonical_dumps(value.to_json()) == expected, pqk
 
 def test_resolution_order_independence_corpus():
     # memoized engine against the exhaustive state sum, disk and annulus
