@@ -14,6 +14,8 @@ from .diagrams import AnnulusSkein
 
 # dense ascending integer coefficients; table is append-only and read-mostly
 _T_TABLE = [[2], [0, 1]]
+# entry k is cheb_expand_power(k); append-only
+_POWER_TABLE = [{0: Fraction(1, 2)}]  # x^0 = (1/2) T_0
 
 
 class ChebPoly:
@@ -60,23 +62,24 @@ def cheb_T(k: int) -> ChebPoly:
     return ChebPoly(k, _T_TABLE[k])
 
 
-def cheb_expand_power(k: int) -> dict[int, int]:
+def cheb_expand_power(k: int) -> dict[int, Fraction]:
     """Coefficients of x^k in the T-basis: x^k = sum_j c_j T_j(x).
 
     Uses T_a T_b = T_{a+b} + T_{|a-b|} with the T_0 = 2 normalization, so the
     empty product contributes x^0 = (1/2) T_0, returned as fractional weight
     on index 0 when needed; for k >= 0 the weights are half-integers only at
-    index 0.
+    index 0. The dict is shared through a module table: do not change it.
     """
-    out: dict[int, Fraction] = {0: Fraction(1, 2)}  # x^0 = (1/2) T_0
-    for _ in range(k):
+    if k < 0:
+        raise ValueError("power must be non-negative")
+    while len(_POWER_TABLE) <= k:
         nxt: dict[int, Fraction] = {}
-        for j, c in out.items():
+        for j, c in _POWER_TABLE[-1].items():
             # x * T_j = T_{j+1} + T_{|j-1|}
             for t in (j + 1, abs(j - 1)):
                 nxt[t] = nxt.get(t, Fraction(0)) + c
-        out = nxt
-    return out
+        _POWER_TABLE.append(nxt)
+    return _POWER_TABLE[k]
 
 
 def thread_annulus(s: AnnulusSkein, m: int) -> AnnulusSkein:

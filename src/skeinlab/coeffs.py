@@ -16,6 +16,14 @@ when it is integral and a ``Fraction`` otherwise, never a float. The skein
 computations stay in Z[q, q^-1] and Z[zeta_n], where ``int`` arithmetic is
 far cheaper than ``Fraction``.
 
+The lens elimination spends its time on tiny scalars, so each operation
+costs only what its inputs need. A ``CyclotomicScalar`` built by ``+``,
+unary ``-`` or ``*`` skips the checking constructor, which is kept for
+outside input, and re-canonicalises only when a ``Fraction`` is present. The
+inverse of a unit +-zeta^e comes from the zeta-power table, not ``ext_gcd``.
+In Q(q), a sum or product of two Laurent polynomials (denominator one) skips
+normalisation.
+
 The chores these types share (sparse term sums, the signed-term text, the
 operators derived from ``+`` and unary ``-``) live in ``upoly``. A
 ``CoeffField`` subclass defines ``from_fraction``, ``q_power`` and
@@ -215,9 +223,18 @@ class RationalFunction(DerivedOperators):
     def __hash__(self):
         return hash((self.num, self.den))
 
+    def _laurent(self, num):
+        """``num`` over this element's denominator, which is one: a Laurent
+        result is already in normal form."""
+        r = RationalFunction.__new__(RationalFunction)
+        r.num, r.den = num, self.den
+        return r
+
     def __add__(self, other):
         if isinstance(other, (int, Fraction, LaurentPoly)):
             other = RationalFunction(other)
+        if self.den.terms == other.den.terms == {0: 1}:
+            return self._laurent(self.num + other.num)
         return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __neg__(self):
@@ -228,6 +245,8 @@ class RationalFunction(DerivedOperators):
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, LaurentPoly)):
             other = RationalFunction(other)
+        if self.den.terms == other.den.terms == {0: 1}:
+            return self._laurent(self.num * other.num)
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -312,6 +331,16 @@ class CyclotomicScalar(DerivedOperators):
         self.n = n
         self.coeffs = tuple(c)
 
+    @staticmethod
+    def _new(n, coeffs):
+        """The scalar with the phi(n) coefficients ``coeffs`` that arithmetic
+        produced, built without the checks and padding of ``__init__``."""
+        r = object.__new__(CyclotomicScalar)
+        r.n = n
+        # one Fraction makes the sum a Fraction
+        r.coeffs = tuple(coeffs) if type(sum(coeffs)) is int else tuple(map(_canon, coeffs))
+        return r
+
     @classmethod
     def zero(cls, n):
         return cls(n, [])
@@ -356,14 +385,14 @@ class CyclotomicScalar(DerivedOperators):
         if type(other) is not CyclotomicScalar and isinstance(other, (int, Fraction)):
             other = CyclotomicScalar.from_fraction(self.n, other)
         self._check(other)
-        return CyclotomicScalar(self.n, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return CyclotomicScalar._new(self.n, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self):
-        return CyclotomicScalar(self.n, [-a for a in self.coeffs])
+        return CyclotomicScalar._new(self.n, [-a for a in self.coeffs])
 
     def __mul__(self, other):
         if type(other) is not CyclotomicScalar and isinstance(other, (int, Fraction)):
-            return CyclotomicScalar(self.n, [a * other for a in self.coeffs])
+            return CyclotomicScalar._new(self.n, [a * other for a in self.coeffs])
         self._check(other)
         deg, _, rows = _cyclo_data(self.n)
         prod = [0] * (2 * deg - 1)
@@ -379,13 +408,18 @@ class CyclotomicScalar(DerivedOperators):
                 row = rows[k - deg]
                 for i in range(deg):
                     out[i] += c * row[i]
-        return CyclotomicScalar(self.n, out)
+        return CyclotomicScalar._new(self.n, out)
 
     __rmul__ = __mul__
 
     def inv(self):
         if not self:
             raise ZeroDivisionError("inverting zero cyclotomic scalar")
+        terms = [(e, c) for e, c in enumerate(self.coeffs) if c]
+        if len(terms) == 1 and terms[0][1] in (1, -1):  # a unit +-zeta^e
+            ((e, c),) = terms
+            unit = CyclotomicScalar.zeta_power(self.n, -e)
+            return unit if c == 1 else -unit
         _, phi_n, _ = _cyclo_data(self.n)
         a = upoly.trim(list(self.coeffs))
         g, u, _ = upoly.ext_gcd(a, phi_n)

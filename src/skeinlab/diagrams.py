@@ -203,6 +203,7 @@ class _Evaluator:
     def __init__(self, field: CoeffField):
         self.field = field
         self.memo = {}
+        self.one = field.one()
         self.q = field.q_power(1)
         self.qi = field.q_power(-1)
         self.delta = field.delta()
@@ -213,7 +214,7 @@ class _Evaluator:
         for a in diagram.arcs():
             parity[a] = (diagram.winding_marks.get(a, 0) & 1) if diagram.surface == ANNULUS else 0
         value = self._eval(list(diagram.crossings), parity)
-        scalar = self.delta**diagram.free_loops if diagram.free_loops else self.field.one()
+        scalar = self.delta**diagram.free_loops if diagram.free_loops else self.one
         return value.scale(scalar).shift(diagram.free_cores) if diagram.free_cores or diagram.free_loops else value
 
     # -- simplification -----------------------------------------------------
@@ -223,7 +224,7 @@ class _Evaluator:
 
         Returns (crossings, parity, scalar_factor, z_shift).
         """
-        factor = self.field.one()
+        factor = self.one
         zshift = 0
         changed = True
         while changed:
@@ -278,7 +279,7 @@ class _Evaluator:
     def _child(self, crossings, parity, c, pairs):
         cr = list(crossings)
         pa = dict(parity)
-        factor = self.field.one()
+        factor = self.one
         zshift = 0
         ends = list(c)
         for i, j in pairs:
@@ -317,7 +318,7 @@ class _Evaluator:
             vb = self._eval(cb, pb).scale(self.qi * fb).shift(zb)
             cached = va + vb
             self.memo[key] = cached
-        return cached.scale(factor).shift(zshift) if zshift or factor != self.field.one() else cached
+        return cached.scale(factor).shift(zshift) if zshift or factor != self.one else cached
 
 
 def bracket_annulus(diagram: FramedDiagram, field: CoeffField) -> AnnulusSkein:

@@ -181,16 +181,16 @@ class _LaurentEchelon(Echelon):
             if a.terms == {0: 1}:
                 self._subtract(row, piv, row.pop(lead), lead)
                 continue
-            b = row[lead]
+            b = -row[lead]  # a * row + b * piv clears the lead
             new = {}
             for k, v in row.items():
                 w = piv.get(k)
-                nv = v * a - w * b if w is not None else v * a
+                nv = v * a + w * b if w is not None else v * a
                 if nv:
                     new[k] = nv
             for k, w in piv.items():
                 if k not in row:
-                    nv = -(w * b)
+                    nv = w * b
                     if nv:
                         new[k] = nv
             row = self._strip(new) if new else new

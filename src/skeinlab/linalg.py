@@ -6,8 +6,8 @@ inv/zero/one.
 
 Every elimination over a field goes through one kernel, ``Echelon``: a
 sparse row echelon form built one row at a time. Rank, membership, normal
-forms and minimal polynomials are all read off it. A step subtracts c times
-a pivot row (pivot entry one) in place, on that row's keys alone; the
+forms and minimal polynomials are all read off it. A step adds -c times a
+pivot row (pivot entry one) in place, on that row's keys alone; the
 fraction-free subclass in ``heegaard`` stores unit leads as one to take the
 same step and cross-multiplies only against a non-unit lead. A minimal
 polynomial uses tag keys: Krylov vector t carries the key ``-1 - t``, and
@@ -79,11 +79,13 @@ class Echelon:
     def _subtract(row, piv, c, lead):
         """``row -= c * piv`` in place, on the keys of ``piv`` other than ``lead``
         (whose pivot entry is one, and which the caller has already taken out of
-        ``row``). Keys outside ``piv`` are not touched."""
+        ``row``). Keys outside ``piv`` are not touched. The multiplier is
+        negated once, so each entry costs one product and one sum."""
+        c = -c
         for k, w in piv.items():
             if k != lead:
                 v = row.get(k)
-                nv = -(w * c) if v is None else v - w * c
+                nv = w * c if v is None else v + w * c
                 if nv:
                     row[k] = nv
                 elif v is not None:

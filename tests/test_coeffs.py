@@ -61,6 +61,14 @@ def test_cyclotomic_inverse_examples():
     assert x * x.inv() == one
     with pytest.raises(ZeroDivisionError):
         CyclotomicScalar.zero(3).inv()
+    # a unit +-zeta^e, read off the zeta-power table, against the general inverse
+    for n in (1, 2, 3, 5, 6, 7, 9, 10, 15):
+        phi_n = cyclotomic_polynomial(n)
+        for e in range(n):
+            for u in (CyclotomicScalar.zeta_power(n, e), -CyclotomicScalar.zeta_power(n, e)):
+                _, general, _ = upoly.ext_gcd(upoly.trim(list(u.coeffs)), phi_n)
+                assert u.inv() == CyclotomicScalar(n, upoly.divmod(general, phi_n)[1])
+                assert u * u.inv() == CyclotomicScalar.one(n)
 
 
 def test_cyclotomic_polynomials():
@@ -189,6 +197,23 @@ def _mixed_cyclo(n):
 def test_laurent_coefficients_stay_canonical(a, b, c, k):
     for x in (a, b, a + b, a - b, a * b, a * c, c * b, a + c, b - c, a**k, (a - b) ** k):
         _assert_canonical(x.terms.values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(_mixed_laurent(), _mixed_laurent())
+def test_laurent_valued_rational_functions_match_the_general_constructor(pa, pb):
+    # a Laurent sum or product skips the normalization the constructor runs
+    a, b = RationalFunction(pa), RationalFunction(pb)
+    num_a, num_b, den = a.num * b.den, b.num * a.den, a.den * b.den
+    for got, want in (
+        (a + b, RationalFunction(num_a + num_b, den)),
+        (a - b, RationalFunction(num_a - num_b, den)),
+        (a * b, RationalFunction(a.num * b.num, den)),
+    ):
+        assert got.num.terms == want.num.terms and got.den.terms == want.den.terms
+        for x, y in ((got.num, want.num), (got.den, want.den)):
+            assert [type(x.terms[e]) for e in sorted(x.terms)] == [type(y.terms[e]) for e in sorted(y.terms)]
+        assert got.to_json() == want.to_json() and repr(got) == repr(want)
 
 
 @settings(max_examples=80, deadline=None)

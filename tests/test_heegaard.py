@@ -185,10 +185,16 @@ def test_lens_reports_are_pinned():
         "p": 5, "q": 2, "field": "generic", "truncation": 7, "dimension": 3, "stabilized": True,
         "basis": ["zH^0*zB^0", "zH^0*zB^1", "zH^0*zB^2"], "dims_by_truncation": {"7": 3, "8": 3, "9": 3},
     }
-    for tag in ("zeta:5", "rationals(q=-1)"):
+    for tag in ("generic", "zeta:5", "rationals(q=-1)"):
         assert lens_module(3, 1, field_from_tag(tag)).to_json() == {
             "p": 3, "q": 1, "field": tag, "truncation": 5, "dimension": 2, "stabilized": True,
             "basis": ["zH^0*zB^0", "zH^0*zB^1"], "dims_by_truncation": {"5": 2, "6": 2, "7": 2},
+        }
+    # S^3 where phi(n) is 1 or 2 and every scalar step is shortest
+    for tag in ("zeta:2", "zeta:3", "zeta:6"):
+        assert lens_module(1, 0, field_from_tag(tag)).to_json() == {
+            "p": 1, "q": 0, "field": tag, "truncation": 4, "dimension": 1, "stabilized": True,
+            "basis": ["zH^0*zB^0"], "dims_by_truncation": {"4": 1, "5": 1, "6": 1},
         }
 
 
