@@ -119,12 +119,15 @@ class _LaurentEchelon(Echelon):
     The rows hold Laurent polynomials with ``int`` coefficients; rational-
     function division would swamp the computation with gcd work. A stored row
     is stripped of its monomial and integer content, and when its lead is then
-    a unit +-q^e it is divided by that unit, so the lead is exactly one. A step
-    against such a pivot is the field step ``_subtract`` on the pivot's keys
-    alone. Only a non-unit lead needs cross-multiplication, row by row, and a
-    strip of the result (Bareiss, Math. Comp. 22, 1968). Stored rows keep
-    non-unit pivots unnormalized, so this echelon answers ``insert``, ``rank``
-    and ``copy``, not ``normal_form``.
+    a unit +-q^e it is divided by that unit, so the lead is exactly one. Only
+    these unit pivots are kept reduced: no stored row holds a unit pivot's key
+    but its own, so a row sheds all of them in one pass of the field step
+    ``_subtract``. A non-unit lead is cross-multiplied away, row by row, only
+    while it is the row's lead, and the result stripped (Bareiss, Math. Comp.
+    22, 1968); below the lead it stays in the tail, because clearing it there
+    would multiply the stored leads together. Stored rows keep non-unit pivots
+    unnormalized, so this echelon answers ``insert``, ``rank`` and ``copy``,
+    not ``normal_form``.
     """
 
     def _clear(self, row):
@@ -145,7 +148,10 @@ class _LaurentEchelon(Echelon):
 
     def _strip(self, row):
         # monomial and integer content only; polynomial gcds cost more than
-        # they save on these structured systems
+        # they save on these structured systems. A single entry is its own
+        # content: that row spans the same ray as the key alone.
+        if len(row) == 1:
+            return {k: LaurentPoly.one() for k in row}
         shift = min(v.min_exp() for v in row.values())
         g = 0
         for v in row.values():
@@ -162,6 +168,9 @@ class _LaurentEchelon(Echelon):
 
     def insert(self, row: dict) -> bool:
         row = self._clear(row)
+        for k in [k for k in row if k in self.pivots and self.pivots[k][k].terms == {0: 1}]:
+            self._subtract(row, self.pivots[k], row.pop(k), k)
+        # cross-multiplying two rows free of unit pivot keys keeps them free
         while row:
             lead = max(row)
             piv = self.pivots.get(lead)
@@ -170,17 +179,11 @@ class _LaurentEchelon(Echelon):
                 if len(row[lead].terms) == 1:
                     ((e, c),) = row[lead].terms.items()
                     if c in (1, -1):  # a unit lead +-q^e: store the row divided by it
-                        row = {k: v.shifted(-e) * c for k, v in row.items()}
+                        self._store(lead, {k: v.shifted(-e) * c for k, v in row.items()})
+                        return True
                 self.pivots[lead] = row
                 return True
-            if len(piv) == 1:
-                # singleton pivot: dropping the key spans the same ray
-                del row[lead]
-                continue
             a = piv[lead]
-            if a.terms == {0: 1}:
-                self._subtract(row, piv, row.pop(lead), lead)
-                continue
             b = -row[lead]  # a * row + b * piv clears the lead
             new = {}
             for k, v in row.items():

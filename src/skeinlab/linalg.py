@@ -5,15 +5,16 @@ field: scalars with operator arithmetic plus a field object supplying
 inv/zero/one.
 
 Every elimination over a field goes through one kernel, ``Echelon``: a
-sparse row echelon form built one row at a time. Rank, membership, normal
-forms and minimal polynomials are all read off it. A step adds -c times a
-pivot row (pivot entry one) in place, on that row's keys alone; the
-fraction-free subclass in ``heegaard`` stores unit leads as one to take the
-same step and cross-multiplies only against a non-unit lead. A minimal
-polynomial uses tag keys: Krylov vector t carries the key ``-1 - t``, and
-since these tags sort below every (non-negative) column, the columns are
-eliminated first and the first vector that reduces to tags alone records the
-linear relation.
+sparse reduced (Gauss-Jordan) row echelon form built one row at a time. No
+stored row holds another row's pivot key, so a row reduces in one pass over
+its own keys. Rank, membership, normal forms and minimal polynomials are all
+read off it. A step adds -c times a pivot row (pivot entry one) in place, on
+that row's keys alone; the fraction-free subclass in ``heegaard`` stores unit
+leads as one to take the same step and cross-multiplies only against a
+non-unit lead. A minimal polynomial uses tag keys: Krylov vector t carries
+the key ``-1 - t``, and since these tags sort below every (non-negative)
+column, the columns are eliminated first and the first vector that reduces
+to tags alone records the linear relation.
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ class Echelon:
 
     A row is a dict ``{key: scalar}`` with mutually comparable keys and no zero
     entries. Each stored row pivots on its largest key, no two stored rows share
-    a pivot, and a stored row is scaled so that its pivot entry is one. A stored
-    row is only read, never changed: ``copy`` relies on that.
+    a pivot, a stored row is scaled so that its pivot entry is one, and no
+    stored row holds another row's pivot key (reduced form). A stored row is
+    replaced, never edited: ``copy`` relies on that.
     """
 
     def __init__(self, field=_QQ):
@@ -48,32 +50,36 @@ class Echelon:
     def insert(self, row: dict) -> bool:
         """Reduce ``row`` and store what is left as a new pivot row; False if
         it reduced to zero. The caller's ``row`` is left as it was."""
-        row = dict(row)
-        while row:
-            lead = max(row)
-            piv = self.pivots.get(lead)
-            if piv is None:
-                c = self.field.inv(row[lead])
-                self.pivots[lead] = {k: v * c for k, v in row.items()}
-                return True
-            self._subtract(row, piv, row.pop(lead), lead)
-        return False
+        row = self.normal_form(row)
+        if not row:
+            return False
+        lead = max(row)
+        c = self.field.inv(row[lead])
+        self._store(lead, {k: v * c for k, v in row.items()})
+        return True
 
     def normal_form(self, row: dict) -> dict:
         """The representative of ``row`` modulo the row space that has no pivot
         key: empty exactly when ``row`` is in the span, and independent of the
-        order the rows went in."""
+        order the rows went in. The pivot rows hold no pivot key but their own,
+        so one pass over the keys of ``row`` clears them all."""
         row = dict(row)
-        out = {}
-        while row:
-            lead = max(row)
-            c = row.pop(lead)
-            piv = self.pivots.get(lead)
-            if piv is None:
-                out[lead] = c
-            else:
-                self._subtract(row, piv, c, lead)
-        return out
+        for k in [k for k in row if k in self.pivots]:
+            self._subtract(row, self.pivots[k], row.pop(k), k)
+        return row
+
+    def _store(self, lead, row):
+        """Store ``row``, whose entry at ``lead`` is one and which holds no other
+        pivot key, after clearing ``lead`` from every stored row that holds it.
+        A cleared row is a new dict in place of the old one."""
+        for k, piv in self.pivots.items():
+            c = piv.get(lead)
+            if c is not None:
+                piv = dict(piv)
+                del piv[lead]
+                self._subtract(piv, row, c, lead)
+                self.pivots[k] = piv
+        self.pivots[lead] = row
 
     @staticmethod
     def _subtract(row, piv, c, lead):
@@ -96,8 +102,8 @@ class Echelon:
 
     def copy(self):
         """An echelon with the same rows; inserting into either leaves the other
-        as it was. Sharing the pivot rows is safe because ``insert`` only ever
-        adds a pivot row and never changes one it has stored."""
+        as it was. Sharing the pivot rows is safe because ``insert`` replaces a
+        stored row it changes and never edits one in place."""
         other = type(self)(self.field)
         other.pivots = dict(self.pivots)
         return other

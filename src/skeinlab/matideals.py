@@ -200,13 +200,18 @@ def _matrix_unit_mul(A: FinAlg, n, mat, i, j, side):
 
 def row_space(ideal: MatIdeal):
     """Ground-field basis of V(L) <= A^n for a left ideal: the A-span of all
-    generator rows (left multiplication only recombines rows)."""
+    generator rows (left multiplication only recombines rows). The basis is
+    the RREF one: each vector's last nonzero entry is one and is zero in every
+    other vector, in order of that position, so it depends on V(L) alone and
+    not on the order of the generators."""
     if ideal.side != "left":
         raise SkeinError("row_space expects a left ideal")
     return _basis(_side_space(ideal, rows=True), ideal.n * ideal.algebra.dim)
 
 
 def column_space(ideal: MatIdeal):
+    """Ground-field basis of V(R) <= A^n for a right ideal, the A-span of all
+    generator columns, as the same RREF basis as ``row_space``."""
     if ideal.side != "right":
         raise SkeinError("column_space expects a right ideal")
     return _basis(_side_space(ideal, rows=False), ideal.n * ideal.algebra.dim)

@@ -172,11 +172,36 @@ def test_unit_lead_pivot_is_stored_with_lead_one():
     assert piv[(1, 0)] == LaurentPoly.one()
     assert piv[(0, 0)] == LaurentPoly({-4: -2, -3: -1})
     assert all(type(c) is int for v in piv.values() for c in v.terms.values())
-    # a non-unit lead is kept as it is, and a step against it still reduces
+    # a non-unit lead is kept as it is, and a step against it still reduces;
+    # the unit pivot key (1, 0) is cleared into (0, 0) first, and the strip
+    # then shifts the row by q^4
     assert ech.insert({(2, 0): F.from_fraction(2) + F.q_power(1), (1, 0): F.one()})
-    assert ech.pivots[(2, 0)][(2, 0)] == LaurentPoly({0: 2, 1: 1})
+    assert ech.pivots[(2, 0)] == {(2, 0): LaurentPoly({5: 1, 4: 2}), (0, 0): LaurentPoly({1: 1, 0: 2})}
     assert not ech.insert({(2, 0): F.from_fraction(4) + F.q_power(1) * 2, (1, 0): F.from_fraction(2)})
     assert ech.insert({(2, 0): F.one()})
+
+
+@pytest.mark.parametrize("p, q, tag", [(3, 1, "zeta:5"), (4, 1, "rationals(q=-1)"), (5, 2, "generic")])
+def test_no_stored_tail_holds_a_unit_pivot_key(p, q, tag, monkeypatch):
+    # the echelons stay reduced against their unit pivots, which over a field
+    # are all of them; the test copies of the windows included
+    made = []
+    base = heegaard._LaurentEchelon if tag == "generic" else Echelon
+
+    class Recording(base):
+        def __init__(self, field):
+            super().__init__(field)
+            made.append(self)
+
+    monkeypatch.setattr(heegaard, "_LaurentEchelon" if tag == "generic" else "Echelon", Recording)
+    lens_module(p, q, field_from_tag(tag))
+    assert len(made) == 4
+    for ech in made:
+        one = LaurentPoly.one() if tag == "generic" else ech.field.one()
+        units = {k for k, row in ech.pivots.items() if row[k] == one}
+        if tag != "generic":
+            assert len(units) == ech.rank()
+        assert units and all(units.isdisjoint(set(row) - {k}) for k, row in ech.pivots.items())
 
 
 def test_lens_reports_are_pinned():
@@ -206,7 +231,9 @@ def test_echelon_copy_leaves_original_untouched():
     before = {k: dict(v) for k, v in ech.pivots.items()}
     twin = ech.copy()
     assert twin.insert({(1, 1): one, (0, 0): F.q_power(-1)})
-    # reduces against a pivot row the two echelons share
+    # reduces against a pivot row the two echelons share, to the new unit
+    # pivot key (0, 0), which the twin then clears from every tail
     assert twin.insert({(1, 0): one})
     assert twin.rank() == 4
+    assert all(row == {k: one} for k, row in twin.pivots.items())
     assert ech.rank() == 2 and ech.pivots == before

@@ -33,6 +33,20 @@ def test_rank_matches_sympy(seed):
 
 
 @pytest.mark.parametrize("seed", range(40))
+def test_pivot_rows_are_the_rref_of_the_reversed_columns(seed):
+    # pivots sit on the largest key, so with the columns reversed the stored
+    # rows must be the reduced row echelon form, which the row space fixes
+    rng = random.Random(500 + seed)
+    rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+    mat = _random_matrix(rng, rows, cols)
+    rref = sympy.Matrix(rows, cols, lambda i, j: sympy.Rational(str(mat[i][cols - 1 - j]))).rref()[0]
+    expected = [[Fraction(str(x)) for x in rref.row(i)] for i in range(rref.rows) if any(rref.row(i))]
+    ech = span(mat)
+    got = [[row.get(cols - 1 - j, 0) for j in range(cols)] for _, row in sorted(ech.pivots.items(), reverse=True)]
+    assert got == expected
+
+
+@pytest.mark.parametrize("seed", range(40))
 def test_normal_form_is_zero_exactly_when_rank_stays(seed):
     rng = random.Random(1000 + seed)
     rows, cols = rng.randint(1, 5), rng.randint(1, 6)
@@ -91,8 +105,10 @@ def test_echelon_copy_leaves_original_untouched():
     assert ech.insert({1: Fraction(1)})
     before = {k: dict(v) for k, v in ech.pivots.items()}
     twin = ech.copy()
-    # reduces against a pivot row the two echelons share
+    # reduces against a pivot row the two echelons share, to the new pivot
+    # key 0, which the twin then clears from the tail of that shared row
     assert twin.insert({2: Fraction(1)})
+    assert twin.pivots[2] == {2: 1} and twin.pivots[0] == {0: 1}
     assert twin.insert({0: Fraction(1)}) is False
     assert twin.rank() == 3 and twin.normal_form({0: Fraction(7)}) == {}
     assert ech.rank() == 2 and ech.pivots == before

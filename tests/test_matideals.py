@@ -53,6 +53,19 @@ def test_row_space_examples():
         row_space(MatIdeal("right", QQ_ALG, 2, [e11]))
 
 
+def test_row_and_column_spaces_do_not_depend_on_generator_order():
+    # both return the reduced (RREF) basis, which the space alone determines
+    e11_e12 = [[ONE, ONE], [ZERO, ZERO]]
+    e12 = [[ZERO, ONE], [ZERO, ZERO]]
+    for gens in ([e11_e12, e12], [e12, e11_e12]):
+        assert [list(v) for v in row_space(MatIdeal("left", QQ_ALG, 2, gens))] == [[1, 0], [0, 1]]
+    for seed in range(8):
+        algebra, n, L, R = random_instance(seed)
+        for ideal, space in ((L, row_space), (R, column_space)):
+            reversed_gens = MatIdeal(ideal.side, algebra, n, ideal.generators[::-1])
+            assert space(reversed_gens) == space(ideal)
+
+
 def test_row_space_with_nilpotents():
     dual = FinAlg.univariate([0, 0, 1])
     t = dual.basis_vec(1)
