@@ -26,8 +26,8 @@ normalisation.
 
 The chores these types share (sparse term sums, the signed-term text, the
 operators derived from ``+`` and unary ``-``) live in ``upoly``. A
-``CoeffField`` subclass defines ``from_fraction``, ``q_power`` and
-``scalar_from_json``; the rest of a field comes from those and the scalars.
+``CoeffField`` subclass defines ``from_fraction``, ``q_power``, ``from_laurent``
+and ``scalar_from_json``; the rest of a field comes from those and the scalars.
 """
 
 from __future__ import annotations
@@ -506,10 +506,10 @@ class CoeffField:
 
     Scalars themselves carry the arithmetic through operator overloading;
     the field supplies constants, inversion, parsing and JSON forms. A field
-    defines its ``tag`` and ``from_fraction`` (the scalar of a rational),
-    ``q_power`` and ``scalar_from_json``; the constants come from
-    ``from_fraction``, and inversion and JSON from the scalar's ``inv`` and
-    ``to_json``.
+    defines its ``tag``, ``from_fraction`` (the scalar of a rational), ``q_power``,
+    ``from_laurent`` (the image of a Laurent polynomial under q -> ``q_power(1)``)
+    and ``scalar_from_json``; the constants come from ``from_fraction``, and
+    inversion and JSON from the scalar's ``inv`` and ``to_json``.
     """
 
     tag: str
@@ -565,6 +565,11 @@ class Rationals(CoeffField):
     def inv(self, x):
         return 1 / Fraction(x)
 
+    def from_laurent(self, x):
+        # q^e = q^(e mod 2): sum the coefficients of each parity as they are
+        even = sum(c for e, c in x.terms.items() if not e % 2)
+        return self.from_fraction(even) + self.q_power(1) * (sum(x.terms.values()) - even)
+
     def scalar_to_json(self, x):
         return frac_str(Fraction(x))
 
@@ -577,12 +582,16 @@ class GenericQ(CoeffField):
 
     def __init__(self):
         self.tag = "generic"
+        self._one = RationalFunction(1)
 
     def from_fraction(self, c):
         return RationalFunction(c)
 
     def q_power(self, e):
         return RationalFunction(LaurentPoly.q_power(e))
+
+    def from_laurent(self, x):
+        return self._one._laurent(x)  # over denominator one: already reduced
 
     def scalar_from_json(self, data):
         return RationalFunction.from_json(data)
@@ -601,6 +610,12 @@ class ZetaField(CoeffField):
 
     def q_power(self, e):
         return CyclotomicScalar.zeta_power(self.n, e)
+
+    def from_laurent(self, x):
+        out = [0] * _cyclo_data(self.n)[0]  # fold q^e to q^(e mod n), sum table vectors
+        for e, c in collect((e % self.n, c) for e, c in x.terms.items()).items():
+            out = [o + a * c for o, a in zip(out, CyclotomicScalar.zeta_power(self.n, e).coeffs)]
+        return CyclotomicScalar._new(self.n, out)
 
     def scalar_from_json(self, data):
         # read the order first: building Q(zeta_n) for a large wrong n is slow
@@ -623,20 +638,11 @@ def field_from_tag(tag: str) -> CoeffField:
 
 
 def specialize_scalar(x, field: CoeffField):
-    """Map a generic-q scalar (RationalFunction/LaurentPoly) into ``field``."""
+    """Map a generic-q scalar (RationalFunction/LaurentPoly) into ``field``;
+    a denominator that vanishes there raises ZeroDivisionError."""
     if isinstance(x, LaurentPoly):
-        x = RationalFunction(x)
-    if isinstance(field, GenericQ):
-        return x
-    num = field.zero()
-    for e, c in x.num.terms.items():
-        num = num + field.q_power(e) * c
-    den = field.zero()
-    for e, c in x.den.terms.items():
-        den = den + field.q_power(e) * c
-    if not den:
-        raise ZeroDivisionError("denominator vanishes under specialization")
-    return num * field.inv(den)
+        return field.from_laurent(x)
+    return field.from_laurent(x.num) * field.inv(field.from_laurent(x.den))
 
 
 # ---------------------------------------------------------------------------

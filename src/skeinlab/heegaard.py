@@ -122,12 +122,13 @@ class _LaurentEchelon(Echelon):
     a unit +-q^e it is divided by that unit, so the lead is exactly one. Only
     these unit pivots are kept reduced: no stored row holds a unit pivot's key
     but its own, so a row sheds all of them in one pass of the field step
-    ``_subtract``. A non-unit lead is cross-multiplied away, row by row, only
-    while it is the row's lead, and the result stripped (Bareiss, Math. Comp.
-    22, 1968); below the lead it stays in the tail, because clearing it there
-    would multiply the stored leads together. Stored rows keep non-unit pivots
-    unnormalized, so this echelon answers ``insert``, ``rank`` and ``copy``,
-    not ``normal_form``.
+    ``_subtract``, and a row that this clearing leaves with one entry becomes
+    the unit pivot of its key. A non-unit lead is cross-multiplied away, row
+    by row, only while it is the row's lead, and the result stripped (Bareiss,
+    Math. Comp. 22, 1968); below the lead it stays in the tail, because
+    clearing it there would multiply the stored leads together. Stored rows
+    keep non-unit pivots unnormalized, so this echelon answers ``insert``,
+    ``rank`` and ``copy``, not ``normal_form``.
     """
 
     def _clear(self, row):
@@ -198,6 +199,12 @@ class _LaurentEchelon(Echelon):
                         new[k] = nv
             row = self._strip(new) if new else new
         return False
+
+    def _store(self, lead, row):
+        super()._store(lead, row)
+        # clearing ``lead`` can leave a row {k: a}, the ray of k: store {k: 1}
+        for k in [k for k, piv in self.pivots.items() if len(piv) == 1 and piv[k].terms != {0: 1}]:
+            self._store(k, {k: LaurentPoly.one()})
 
     def normal_form(self, row):
         raise NotImplementedError("fraction-free pivots are not normalized")

@@ -16,8 +16,8 @@ comes from z^k = sum_j c_j T_j(z) and (a,b) * (j,0):
     (a,b).z^k = 2 c_0 e(a,b) + sum_{j>=1} c_j (q^(-bj) e(a+j,b) + q^(bj) e(a-j,b))
 
 which holds for non-primitive labels as well. The recursions never divide,
-so they run in every coefficient field directly; only e(p,r) and finished
-columns are memoized, in memory, one ``ActionCache`` per field.
+so they run once per process over Z[q, q^-1], and each field's columns are
+their images under ``from_laurent``; all are memoized in memory.
 
 The diagram engine stays as an independent oracle: ``diagram_columns``
 resolves the pushed boundary curve stacked with k cores, and acceptance
@@ -27,25 +27,37 @@ criterion 6 compares it with the algebraic columns.
 from __future__ import annotations
 
 from .chebyshev import cheb_expand_power
-from .coeffs import CoeffField
+from .coeffs import CoeffField, LaurentPoly
 from .diagrams import AnnulusSkein, bracket_annulus, pushed_curve_with_cores
 from .torus import TorusSkein, normalize_label
 
 
+class _LaurentRing(CoeffField):
+    """Z[q, q^-1] with ``LaurentPoly`` scalars, where the recursions run."""
+
+    tag = "laurent"
+    from_fraction = staticmethod(LaurentPoly.from_fraction)
+    q_power = staticmethod(LaurentPoly.q_power)
+
+
 class ActionCache:
-    """Images e(p,r) and action columns over one coefficient field, in memory."""
+    """Action columns over one field, in memory: the images under ``from_laurent``
+    of the columns over Z[q, q^-1], which every field shares, like e(p,r)."""
+
+    _ring = _LaurentRing()
+    _images: dict[tuple[int, int], AnnulusSkein] = {}  # shared, over the ring
+    _laurent: dict[tuple[int, int], list[AnnulusSkein]] = {}  # shared, over the ring
 
     def __init__(self, field: CoeffField):
         self.field = field
-        self._images: dict[tuple[int, int], AnnulusSkein] = {}
         self._columns: dict[tuple[int, int], list[AnnulusSkein]] = {}
 
     def image(self, p, r):
-        """e(p,r) = (p,r).empty; the label (0,0) stands for T_0 = 2 * empty."""
+        """e(p,r) = (p,r).empty over Z[q, q^-1]; the label (0,0) stands for T_0 = 2 * empty."""
         p, r = normalize_label(p, r)
         e = self._images.get((p, r))
         if e is None:
-            F = self.field
+            F = self._ring
             if p == 0 and r < 2:
                 e = AnnulusSkein(F, {0: F.from_int(2) if r == 0 else F.delta()})
             elif p == 0:
@@ -62,23 +74,26 @@ class ActionCache:
             self._images[(p, r)] = e
         return e
 
+    def _laurent_columns(self, a, b, upto):
+        """(a,b).z^k over Z[q, q^-1] for k = 0..upto (or more); (a,b) is normalized."""
+        cols = self._laurent.setdefault((a, b), [])
+        for k in range(len(cols), upto + 1):
+            acc = {}  # z-degree -> {q-exponent: int}: the sum of the images, in plain ints
+            for j, c in cheb_expand_power(k).items():
+                for i, m in ((0, int(2 * c)),) if j == 0 else ((j, int(c)), (-j, int(c))):
+                    for d, x in self.image(a + i, b).coeffs.items():
+                        row = acc.setdefault(d, {})
+                        for t, y in x.terms.items():
+                            row[t - b * i] = row.get(t - b * i, 0) + y * m
+            cols.append(AnnulusSkein(self._ring, {d: LaurentPoly(row) for d, row in acc.items()}))
+        return cols
+
     def columns(self, p, q, upto):
         """(p,q).z^k for k = 0..upto, for every label but (0,0)."""
         a, b = normalize_label(p, q)
         cols = self._columns.setdefault((a, b), [])
-        F = self.field
-        for k in range(len(cols), upto + 1):
-            col = AnnulusSkein.zero(F)
-            for j, c in cheb_expand_power(k).items():
-                if j == 0:
-                    col = col + self.image(a, b).scale(F.from_fraction(2 * c))
-                else:
-                    col = (
-                        col
-                        + self.image(a + j, b).scale(F.q_power(-b * j) * c)
-                        + self.image(a - j, b).scale(F.q_power(b * j) * c)
-                    )
-            cols.append(col)
+        for col in self._laurent_columns(a, b, upto)[len(cols) : upto + 1]:
+            cols.append(AnnulusSkein(self.field, [(k, self.field.from_laurent(v)) for k, v in col.coeffs.items()]))
         return cols
 
 
@@ -116,13 +131,14 @@ def act(a: TorusSkein, v: AnnulusSkein) -> AnnulusSkein:
     if not isinstance(a, TorusSkein):
         raise TypeError("act expects a TorusSkein")
     a.check_field(v)
-    cache = action_cache(v.field)
-    out = AnnulusSkein.zero(v.field)
+    cache, one = action_cache(v.field), v.field.one()
+    scaled = []  # (skein, scalar) pairs whose sum is the action
     for (p, q), coeff in a.coeffs.items():
         if (p, q) == (0, 0):
-            out = out + v.scale(coeff)
+            scaled.append((v, coeff))
             continue
         cols = cache.columns(p, q, v.degree())
-        for k, c in v.coeffs.items():
-            out = out + cols[k].scale(c * coeff)
-    return out
+        scaled += [(cols[k], c * coeff) for k, c in v.coeffs.items()]
+    if len(scaled) == 1 and scaled[0][1] == one:
+        return scaled[0][0]  # skeins are immutable: the cached column itself
+    return AnnulusSkein(v.field, [(d, x if c == one else x * c) for s, c in scaled for d, x in s.coeffs.items()])

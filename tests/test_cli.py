@@ -119,6 +119,13 @@ def test_lens_cli_negative_q(tmp_path, capsys):
     assert json.loads(done.stdout[done.stdout.index("{"):])["dimension"] == 2
 
 
+def test_lens_cli_refuses_a_field_without_q(capsys):
+    # the action columns are images of columns over Z[q, q^-1], which need q
+    assert main(["lens", "--p", "3", "--q", "1", "--field", "rationals"]) == 2
+    err = capsys.readouterr().err
+    assert "no value for q" in err and "Traceback" not in err
+
+
 def test_lens_cli_deterministic(tmp_path):
     out1, out2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
     main(["lens", "--p", "2", "--q", "1", "--out", out1])

@@ -17,7 +17,7 @@ from skeinlab.coeffs import (
     specialize_scalar,
 )
 from skeinlab.diagrams import AnnulusSkein
-from skeinlab.errors import FieldMismatchError, FourDividesOrderError
+from skeinlab.errors import FieldMismatchError, FourDividesOrderError, SkeinError
 from skeinlab.multipoly import MultiPoly
 from skeinlab.torus import TorusSkein
 
@@ -150,6 +150,38 @@ def test_specialize_is_ring_homomorphism(a, b):
     z7 = ZetaField(7)
     assert specialize_scalar(a * b, z7) == specialize_scalar(a, z7) * specialize_scalar(b, z7)
     assert specialize_scalar(a + b, z7) == specialize_scalar(a, z7) + specialize_scalar(b, z7)
+
+
+_MAP_FIELDS = [ZetaField(n) for n in (1, 2, 3, 5, 6, 7, 10, 15)] + [Rationals(1), Rationals(-1), GenericQ()]
+
+
+def _wide_laurent():
+    # exponents past every order above, so that the folds mod n are exercised
+    return st.builds(
+        lambda terms: LaurentPoly(dict(terms)),
+        st.lists(
+            st.tuples(st.integers(-40, 40), st.one_of(st.integers(-9, 9), st.fractions(-3, 3, max_denominator=4))),
+            max_size=8,
+        ),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(_wide_laurent(), _wide_laurent())
+def test_from_laurent_is_the_ring_map_sending_q_to_the_field_q(a, b):
+    for field in _MAP_FIELDS:
+        image = field.from_laurent
+        assert image(a + b) == image(a) + image(b), field.tag
+        assert image(a * b) == image(a) * image(b), field.tag
+        assert image(a) == sum((field.q_power(e) * c for e, c in a.terms.items()), field.zero()), field.tag
+        assert specialize_scalar(RationalFunction(a), field) == image(a), field.tag
+
+
+def test_from_laurent_needs_a_value_for_q():
+    with pytest.raises(SkeinError):
+        Rationals().from_laurent(LaurentPoly.one())
+    with pytest.raises(ZeroDivisionError):
+        specialize_scalar(RationalFunction(1, LaurentPoly({2: 1, 1: 1, 0: 1})), ZetaField(3))
 
 
 def test_rational_function_normal_form():

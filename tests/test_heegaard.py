@@ -204,13 +204,45 @@ def test_no_stored_tail_holds_a_unit_pivot_key(p, q, tag, monkeypatch):
         assert units and all(units.isdisjoint(set(row) - {k}) for k, row in ech.pivots.items())
 
 
+@pytest.mark.parametrize(
+    "run",
+    [lambda: lens_module(3, 1, F), lambda: dim_K_q(5, 2), lambda: dim_K_q(7, 3)],
+    ids=["L(3,1)", "dim_K_q(5,2)", "dim_K_q(7,3)"],
+)
+def test_no_stored_one_entry_row_has_a_non_unit_entry(run, monkeypatch):
+    # a one-entry row {k: a} spans the ray of k, so it is stored as {k: 1}
+    # and cleared from the other rows, also when clearing a unit pivot key
+    # from a non-unit row leaves it behind
+    made = []
+
+    class Recording(heegaard._LaurentEchelon):
+        def __init__(self, field):
+            super().__init__(field)
+            made.append(self)
+
+    monkeypatch.setattr(heegaard, "_LaurentEchelon", Recording)
+    run()
+    assert len(made) == 4
+    one = LaurentPoly.one()
+    for ech in made:
+        assert all(row[k] == one for k, row in ech.pivots.items() if len(row) == 1)
+        units = {k for k, row in ech.pivots.items() if row[k] == one}
+        assert all(units.isdisjoint(set(row) - {k}) for k, row in ech.pivots.items())
+
+
 def test_lens_reports_are_pinned():
     # printed when every generic step still cross-multiplied, before unit-lead pivots
     assert lens_module(5, 2, F).to_json() == {
         "p": 5, "q": 2, "field": "generic", "truncation": 7, "dimension": 3, "stabilized": True,
         "basis": ["zH^0*zB^0", "zH^0*zB^1", "zH^0*zB^2"], "dims_by_truncation": {"7": 3, "8": 3, "9": 3},
     }
-    for tag in ("generic", "zeta:5", "rationals(q=-1)"):
+    # printed before the action columns became images of one Z[q, q^-1] set
+    for tag in ("rationals(q=1)", "rationals(q=-1)", "zeta:10", "zeta:15"):
+        assert lens_module(5, 2, field_from_tag(tag)).to_json() == {
+            "p": 5, "q": 2, "field": tag, "truncation": 7, "dimension": 3, "stabilized": True,
+            "basis": ["zH^0*zB^0", "zH^0*zB^1", "zH^0*zB^2"], "dims_by_truncation": {"7": 3, "8": 3, "9": 3},
+        }
+    for tag in ("generic", "zeta:5", "rationals(q=-1)", "rationals(q=1)", "zeta:10", "zeta:15"):
         assert lens_module(3, 1, field_from_tag(tag)).to_json() == {
             "p": 3, "q": 1, "field": tag, "truncation": 5, "dimension": 2, "stabilized": True,
             "basis": ["zH^0*zB^0", "zH^0*zB^1"], "dims_by_truncation": {"5": 2, "6": 2, "7": 2},

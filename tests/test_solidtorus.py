@@ -131,3 +131,50 @@ def test_act_across_fields_is_rejected():
         act(curve(1, 0), AnnulusSkein.z_power(zeta, 2))
     with pytest.raises(FieldMismatchError):
         act(curve(0, 1, zeta), z(1))
+
+
+def test_one_laurent_recursion_serves_every_field(monkeypatch):
+    # fresh process-wide caches give the same columns whichever field asks
+    # first, and each column over Z[q, q^-1] is computed once per label and k
+    labels = ((3, 1), (0, 1), (1, 0), (2, -1))
+    recursion = ActionCache._laurent_columns
+
+    def fill(fields):
+        monkeypatch.setattr(ActionCache, "_images", {})
+        monkeypatch.setattr(ActionCache, "_laurent", {})
+        computed = []
+
+        def spy(self, a, b, upto):
+            before = len(ActionCache._laurent.get((a, b), []))
+            cols = recursion(self, a, b, upto)
+            computed.extend((a, b, k) for k in range(before, len(cols)))
+            return cols
+
+        monkeypatch.setattr(ActionCache, "_laurent_columns", spy)
+        caches = [ActionCache(field) for field in fields]
+        for cache in caches:
+            for label in labels:
+                for upto in (3, 6, 2):  # extend, then reuse
+                    cache.columns(*label, upto)
+        assert sorted(computed) == [(a, b, k) for a, b in sorted(labels) for k in range(7)]
+        return {(cache.field.tag, label): cache.columns(*label, 6) for cache in caches for label in labels}
+
+    zeta_first = fill([ZetaField(5), F])
+    generic_first = fill([F, ZetaField(5)])
+    assert zeta_first == generic_first
+    # the fresh zeta:5 columns are the generic ones mapped entry by entry
+    for label in labels:
+        for col_g, col_z in zip(zeta_first[("generic", label)], zeta_first[("zeta:5", label)]):
+            mapped = {k: ZetaField(5).from_laurent(v.num) for k, v in col_g.coeffs.items()}
+            assert {k: v for k, v in mapped.items() if v} == col_z.coeffs
+
+
+def test_a_unit_curve_returns_the_cached_column():
+    for field in (F, ZetaField(5), Rationals(Fraction(-1))):
+        v = AnnulusSkein.z_power(field, 3)
+        assert act(curve(3, 1, field), v) is action_cache(field).columns(3, 1, 3)[3]
+        # a scaled curve gets a scaled copy
+        two = field.from_int(2)
+        got = act(TorusSkein.curve(field, 3, 1, two), v)
+        assert got == action_cache(field).columns(3, 1, 3)[3].scale(two)
+        assert got.coeffs is not action_cache(field).columns(3, 1, 3)[3].coeffs
