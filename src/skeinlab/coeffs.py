@@ -18,11 +18,12 @@ far cheaper than ``Fraction``.
 
 The lens elimination spends its time on tiny scalars, so each operation
 costs only what its inputs need. A ``CyclotomicScalar`` built by ``+``,
-unary ``-`` or ``*`` skips the checking constructor, which is kept for
-outside input, and re-canonicalises only when a ``Fraction`` is present. The
-inverse of a unit +-zeta^e comes from the zeta-power table, not ``ext_gcd``.
-In Q(q), a sum or product of two Laurent polynomials (denominator one) skips
-normalisation.
+unary ``-`` or ``*`` skips the checking constructor (kept for outside input)
+and re-canonicalises only when a ``Fraction`` is present. The inverse of a
+unit +-zeta^e comes from the zeta-power table, not ``ext_gcd``. In Q(q), a
+Laurent sum or product (denominator one) skips normalisation. The steps
+``sub_mul`` (v - w*c) and ``LaurentPoly.mul_add`` (v*a + w*b) each build one
+result in one accumulator, dropping zeros and canonicalising once.
 
 The chores these types share (sparse term sums, the signed-term text, the
 operators derived from ``+`` and unary ``-``) live in ``upoly``. A
@@ -128,6 +129,33 @@ class LaurentPoly(DerivedOperators):
         return r
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def sub_mul(v, w, c):
+        """``v - w * c``, ``v`` None for zero: the elimination step."""
+        return LaurentPoly._sum_products(dict(v.terms) if v is not None else {}, ((-1, w, c),))
+
+    @staticmethod
+    def mul_add(v, a, w, b):
+        """``v * a + w * b``: the fraction-free (cross-multiplied) step."""
+        return LaurentPoly._sum_products({}, ((1, v, a), (1, w, b)))
+
+    @staticmethod
+    def _sum_products(out, products):
+        """``out`` plus each ``s * x * y`` of ``products``, summed in ``out``."""
+        get = out.get
+        for s, x, y in products:
+            xs = x.terms.items()
+            for e2, c2 in y.terms.items():
+                c2 *= s
+                for e1, c1 in xs:
+                    e = e1 + e2
+                    out[e] = get(e, 0) + c1 * c2
+        if 0 in out.values():
+            out = {e: c for e, c in out.items() if c}
+        r = LaurentPoly.__new__(LaurentPoly)
+        r.terms = _integral(out)
+        return r
 
     def __pow__(self, k):
         return upoly.power(self, k, LaurentPoly.one())
@@ -411,6 +439,24 @@ class CyclotomicScalar(DerivedOperators):
         return CyclotomicScalar._new(self.n, out)
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def sub_mul(v, w, c):
+        """``v - w * c`` (``v`` None for zero): the elimination step, with the
+        convolution, the reduction mod Phi_n and the sum in one coefficient list."""
+        deg, _, rows = _cyclo_data(w.n)
+        acc = [*v.coeffs, *[0] * (deg - 1)] if v is not None else [0] * (2 * deg - 1)
+        for i, a in enumerate(w.coeffs):
+            if a:
+                for j, b in enumerate(c.coeffs, i):
+                    if b:
+                        acc[j] -= a * b
+        for k in range(deg, 2 * deg - 1):
+            x = acc[k]
+            if x:
+                for i, y in enumerate(rows[k - deg]):
+                    acc[i] += x * y
+        return CyclotomicScalar._new(w.n, acc[:deg])
 
     def inv(self):
         if not self:

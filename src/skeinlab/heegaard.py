@@ -121,15 +121,19 @@ class _LaurentEchelon(Echelon):
     is stripped of its monomial and integer content, and when its lead is then
     a unit +-q^e it is divided by that unit, so the lead is exactly one. Only
     these unit pivots are kept reduced: no stored row holds a unit pivot's key
-    but its own, so a row sheds all of them in one pass of the field step
-    ``_subtract``, and a row that this clearing leaves with one entry becomes
-    the unit pivot of its key. A non-unit lead is cross-multiplied away, row
-    by row, only while it is the row's lead, and the result stripped (Bareiss,
-    Math. Comp. 22, 1968); below the lead it stays in the tail, because
-    clearing it there would multiply the stored leads together. Stored rows
-    keep non-unit pivots unnormalized, so this echelon answers ``insert``,
-    ``rank`` and ``copy``, not ``normal_form``.
+    but its own, so a row sheds all of them in one pass of ``_subtract`` (with
+    ``LaurentPoly.sub_mul``), and a row that this clearing leaves with one entry
+    becomes the unit pivot of its key. A non-unit lead is cross-multiplied away
+    (``mul_add``), row by row, only while it is the row's lead, and the result
+    stripped (Bareiss, Math. Comp. 22, 1968); below the lead it stays in the
+    tail, because clearing it there would multiply the stored leads together.
+    Stored rows keep non-unit pivots unnormalized, so this echelon answers
+    ``insert``, ``rank`` and ``copy``, not ``normal_form``.
     """
+
+    def __init__(self, field):
+        super().__init__(field)
+        self._sub_mul = LaurentPoly.sub_mul  # the rows are Laurent, whatever the field
 
     def _clear(self, row):
         # the action never divides, so every entry is already Laurent; one
@@ -189,7 +193,7 @@ class _LaurentEchelon(Echelon):
             new = {}
             for k, v in row.items():
                 w = piv.get(k)
-                nv = v * a + w * b if w is not None else v * a
+                nv = LaurentPoly.mul_add(v, a, w, b) if w is not None else v * a
                 if nv:
                     new[k] = nv
             for k, w in piv.items():
@@ -201,10 +205,10 @@ class _LaurentEchelon(Echelon):
         return False
 
     def _store(self, lead, row):
-        super()._store(lead, row)
-        # clearing ``lead`` can leave a row {k: a}, the ray of k: store {k: 1}
-        for k in [k for k, piv in self.pivots.items() if len(piv) == 1 and piv[k].terms != {0: 1}]:
-            self._store(k, {k: LaurentPoly.one()})
+        # clearing ``lead`` can leave a replaced row {k: a}, the ray of k: store {k: 1}
+        for k in super()._store(lead, row):
+            if len(self.pivots[k]) == 1 and self.pivots[k][k].terms != {0: 1}:
+                self._store(k, {k: LaurentPoly.one()})
 
     def normal_form(self, row):
         raise NotImplementedError("fraction-free pivots are not normalized")

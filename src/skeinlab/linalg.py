@@ -9,12 +9,12 @@ sparse reduced (Gauss-Jordan) row echelon form built one row at a time. No
 stored row holds another row's pivot key, so a row reduces in one pass over
 its own keys. Rank, membership, normal forms and minimal polynomials are all
 read off it. A step adds -c times a pivot row (pivot entry one) in place, on
-that row's keys alone; the fraction-free subclass in ``heegaard`` stores unit
-leads as one to take the same step and cross-multiplies only against a
-non-unit lead. A minimal polynomial uses tag keys: Krylov vector t carries
-the key ``-1 - t``, and since these tags sort below every (non-negative)
-column, the columns are eliminated first and the first vector that reduces
-to tags alone records the linear relation.
+that row's keys alone, by the scalars' fused ``sub_mul`` if they have one (the
+fraction-free subclass in ``heegaard`` has Laurent rows, stores unit leads as
+one to take the same step and cross-multiplies only against a non-unit lead).
+Krylov vector t of a minimal polynomial carries the tag key ``-1 - t``; as
+tags sort below every (non-negative) column, the columns are eliminated first
+and the first vector that reduces to tags alone records the linear relation.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ class Echelon:
     def __init__(self, field=_QQ):
         self.field = field
         self.pivots = {}  # pivot key -> stored row
+        self._sub_mul = getattr(type(field.one()), "sub_mul", None)  # the scalars' fused step
 
     def insert(self, row: dict) -> bool:
         """Reduce ``row`` and store what is left as a new pivot row; False if
@@ -71,30 +72,39 @@ class Echelon:
     def _store(self, lead, row):
         """Store ``row``, whose entry at ``lead`` is one and which holds no other
         pivot key, after clearing ``lead`` from every stored row that holds it.
-        A cleared row is a new dict in place of the old one."""
-        for k, piv in self.pivots.items():
-            c = piv.get(lead)
-            if c is not None:
-                piv = dict(piv)
-                del piv[lead]
-                self._subtract(piv, row, c, lead)
-                self.pivots[k] = piv
+        A cleared row is a new dict in place of the old one; returns their keys."""
+        replaced = [k for k, piv in self.pivots.items() if lead in piv]
+        for k in replaced:
+            piv = dict(self.pivots[k])
+            self._subtract(piv, row, piv.pop(lead), lead)
+            self.pivots[k] = piv
         self.pivots[lead] = row
+        return replaced
 
-    @staticmethod
-    def _subtract(row, piv, c, lead):
+    def _subtract(self, row, piv, c, lead):
         """``row -= c * piv`` in place, on the keys of ``piv`` other than ``lead``
         (whose pivot entry is one, and which the caller has already taken out of
-        ``row``). Keys outside ``piv`` are not touched. The multiplier is
-        negated once, so each entry costs one product and one sum."""
-        c = -c
+        ``row``). Keys outside ``piv`` are not touched. An entry is one fused
+        ``sub_mul``, or else one product and one sum (c negated once). As
+        ``w * c`` is never zero, an entry that becomes zero was in ``row``."""
+        sub_mul = self._sub_mul
+        if sub_mul is None:
+            c = -c
+            for k, w in piv.items():
+                if k != lead:
+                    v = row.get(k)
+                    nv = w * c if v is None else v + w * c
+                    if nv:
+                        row[k] = nv
+                    else:
+                        del row[k]
+            return
         for k, w in piv.items():
             if k != lead:
-                v = row.get(k)
-                nv = w * c if v is None else v + w * c
+                nv = sub_mul(row.get(k), w, c)
                 if nv:
                     row[k] = nv
-                elif v is not None:
+                else:
                     del row[k]
 
     def rank(self):

@@ -255,6 +255,44 @@ def test_cyclotomic_coefficients_stay_canonical(a, b, c, k):
         _assert_canonical(x.coeffs)
 
 
+def _typed_terms(x):
+    # the value of a Laurent polynomial with the type of each coefficient
+    return [(e, c, type(c)) for e, c in sorted(x.terms.items())]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.none(), _mixed_laurent()), _mixed_laurent(), _mixed_laurent(), _mixed_laurent())
+def test_fused_laurent_steps_equal_their_operator_expressions(v, w, c, b):
+    # v - w*c with v absent, as given, and holding w*c, so that terms cancel
+    # exactly (Fractions summing to integers among them) or everything does
+    for u in (v, w * c if v is None else w * c + v):
+        want = -(w * c) if u is None else u - w * c
+        assert _typed_terms(LaurentPoly.sub_mul(u, w, c)) == _typed_terms(want)
+    assert not LaurentPoly.sub_mul(w * c, w, c).terms
+    a = c if v is None else v
+    for x in (w, -w):  # a*w - a*w cancels to zero
+        assert _typed_terms(LaurentPoly.mul_add(w, a, x, b)) == _typed_terms(w * a + x * b)
+    assert not LaurentPoly.mul_add(w, a, w, -a).terms
+
+
+def _cyclo_step_operands():
+    return st.sampled_from([1, 2, 3, 5, 6, 7, 10, 15]).flatmap(
+        lambda n: st.tuples(st.one_of(st.none(), _mixed_cyclo(n)), _mixed_cyclo(n), _mixed_cyclo(n))
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cyclo_step_operands())
+def test_fused_cyclotomic_step_equals_its_operator_expression(operands):
+    v, w, c = operands
+    for u in (v, w * c if v is None else w * c + v):
+        want = -(w * c) if u is None else u - w * c
+        got = CyclotomicScalar.sub_mul(u, w, c)
+        assert (got.n, got.coeffs) == (want.n, want.coeffs)
+        assert list(map(type, got.coeffs)) == list(map(type, want.coeffs))
+    assert not CyclotomicScalar.sub_mul(w * c, w, c)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-5, 5)), max_size=5), st.integers(1, 4))
 def test_int_and_fraction_inputs_give_the_same_value(terms, d):

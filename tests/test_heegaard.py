@@ -5,7 +5,7 @@ import os
 import pytest
 
 from skeinlab import heegaard
-from skeinlab.coeffs import GenericQ, LaurentPoly, ZetaField, field_from_tag
+from skeinlab.coeffs import CyclotomicScalar, GenericQ, LaurentPoly, ZetaField, field_from_tag
 from skeinlab.errors import SkeinError, StabilizationError
 from skeinlab.heegaard import GluingMatrix, dim_K_q, lens_module
 from skeinlab.linalg import Echelon
@@ -154,7 +154,7 @@ def test_incremental_windows_match_fresh_eliminations(p, q, tag):
         assert dim == len(basis)
 
 
-@pytest.mark.parametrize("p, q", [(2, 1), (3, 1), (3, -1), (4, 1), (5, 1)])
+@pytest.mark.parametrize("p, q", [(2, 1), (3, 1), (3, -1), (4, 1), (5, 1), (5, 2)])
 def test_fraction_free_elimination_matches_division_in_q_of_q(p, q, monkeypatch):
     # the oracle is the field elimination of linalg, which divides in Q(q)
     gluing = GluingMatrix.lens(p, q)
@@ -162,6 +162,55 @@ def test_fraction_free_elimination_matches_division_in_q_of_q(p, q, monkeypatch)
     fraction_free = list(itertools.islice(heegaard._windows(gluing, F, start), 3))
     monkeypatch.setattr(heegaard, "_LaurentEchelon", Echelon)
     assert list(itertools.islice(heegaard._windows(gluing, F, start), 3)) == fraction_free
+
+
+class _OperatorEchelon(Echelon):
+    """The field elimination with the plain operator step ``v - w*c`` in place
+    of the scalars' fused ``sub_mul``."""
+
+    def _subtract(self, row, piv, c, lead):
+        for k, w in piv.items():
+            if k != lead:
+                nv = row[k] - w * c if k in row else -(w * c)
+                if nv:
+                    row[k] = nv
+                else:
+                    del row[k]
+
+
+def _typed_pivots(ech):
+    # each stored entry with the types of its coefficients
+    return {
+        k: {key: (x, tuple(map(type, getattr(x, "coeffs", (x,))))) for key, x in row.items()}
+        for k, row in ech.pivots.items()
+    }
+
+
+@pytest.mark.parametrize("tag", ["zeta:3", "zeta:5", "zeta:7", "rationals(q=-1)"])
+@pytest.mark.parametrize("p, q", [(3, 1), (5, 2), (7, 3)])
+def test_fused_elimination_step_matches_the_operator_step(p, q, tag, monkeypatch):
+    # the oracle is the same elimination, stepping with the scalar operators
+    field = field_from_tag(tag)
+    gluing = GluingMatrix.lens(p, q)
+    start = max(abs(p) + 2, 4)
+    steps = []
+    fused = CyclotomicScalar.sub_mul
+    monkeypatch.setattr(CyclotomicScalar, "sub_mul", staticmethod(lambda *args: steps.append(1) or fused(*args)))
+    runs = []
+    for base in (Echelon, _OperatorEchelon):
+        made = []
+
+        class Recording(base):
+            def __init__(self, field):
+                super().__init__(field)
+                made.append(self)
+
+        monkeypatch.setattr(heegaard, "Echelon", Recording)
+        windows = list(itertools.islice(heegaard._windows(gluing, field, start), 3))
+        runs.append((windows, [_typed_pivots(ech) for ech in made]))
+    assert len(runs[0][1]) == 4
+    assert runs[0] == runs[1]
+    assert bool(steps) == tag.startswith("zeta:")  # Q(zeta_n) rows took the fused step
 
 
 def test_unit_lead_pivot_is_stored_with_lead_one():
