@@ -46,7 +46,8 @@ class Echelon:
     def __init__(self, field=_QQ):
         self.field = field
         self.pivots = {}  # pivot key -> stored row
-        self._sub_mul = getattr(type(field.one()), "sub_mul", None)  # the scalars' fused step
+        self._one = field.one()
+        self._sub_mul = getattr(type(self._one), "sub_mul", None)  # the scalars' fused step
 
     def insert(self, row: dict) -> bool:
         """Reduce ``row`` and store what is left as a new pivot row; False if
@@ -55,8 +56,11 @@ class Echelon:
         if not row:
             return False
         lead = max(row)
-        c = self.field.inv(row[lead])
-        self._store(lead, {k: v * c for k, v in row.items()})
+        c = row[lead]
+        if c != self._one:
+            c = self.field.inv(c)
+            row = {k: v * c for k, v in row.items()}
+        self._store(lead, row)
         return True
 
     def normal_form(self, row: dict) -> dict:

@@ -1,8 +1,9 @@
 """Exhaustive Kauffman state sum.
 
-Independent cross-check for the recursive bracket engine: enumerate all 2^c
-smoothing assignments, trace the resulting closed curves, classify each by
-winding parity, and add up q^(#A - #B) * delta^(contractible) * z^(core).
+Independent cross-check for the frontier bracket engine of ``diagrams``:
+enumerate all 2^c smoothing assignments, trace the resulting closed curves,
+classify each by winding parity, and add up
+q^(#A - #B) * delta^(contractible) * z^(core).
 Exponential; test/verification use only.
 """
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -203,7 +204,7 @@ def test_pushed_curve_brackets_are_pinned(tag):
             assert canonical_dumps(value.to_json()) == expected, pqk
 
 def test_resolution_order_independence_corpus():
-    # memoized engine against the exhaustive state sum, disk and annulus
+    # frontier engine against the exhaustive state sum, disk and annulus
     from skeinlab.acceptance import diagram_corpus
 
     corpus = diagram_corpus()
@@ -214,6 +215,39 @@ def test_resolution_order_independence_corpus():
             assert bracket_disk(d, F) == state_sum(d, F).coeffs.get(0, F.zero())
         else:
             assert bracket_annulus(d, F) == state_sum(d, F)
+
+
+def _pairings(slots):
+    """Every way of joining ``slots`` two by two."""
+    if not slots:
+        yield []
+        return
+    first, rest = slots[0], slots[1:]
+    for i, other in enumerate(rest):
+        for tail in _pairings(rest[:i] + rest[i + 1 :]):
+            yield [(first, other), *tail]
+
+
+def test_every_small_annulus_code_matches_state_sum():
+    # every PD code on 1 or 2 crossings (each pairing of the 4c slots into 2c
+    # arcs) with every pattern of winding-mark parities: codes and marks that
+    # no constructor emits, in both crossing orders
+    count = 0
+    for c in (1, 2):
+        for pairing in _pairings(list(range(4 * c))):
+            label = {}
+            for arc, (s, t) in enumerate(pairing):
+                label[s] = label[t] = arc
+            crossings = [tuple(label[4 * i + j] for j in range(4)) for i in range(c)]
+            for bits in itertools.product((0, 1), repeat=2 * c):
+                marks = {arc: b for arc, b in enumerate(bits) if b}
+                d = FramedDiagram(ANNULUS, crossings, winding_marks=marks)
+                rev = FramedDiagram(ANNULUS, crossings[::-1], winding_marks=marks)
+                value = bracket_annulus(d, F)
+                assert value == state_sum(d, F), (crossings, marks)
+                assert value == bracket_annulus(rev, F), (crossings, marks)
+                count += 1
+    assert count == 1692
 
 
 def test_reidemeister_two_three_invariance():
