@@ -22,14 +22,16 @@ unresolved crossings (Makowsky, Discrete Appl. Math. 145, 2005). The
 exhaustive state sum lives in ``skeinlab.oracle`` and is used only to
 cross-check this engine.
 
-Closed braids are built here too. A (p,q) torus boundary curve pushed into
-the solid torus next to k cores is the closed braid of its q steps, each
-taking one curve strand around the cores and across the other curve strands
-(Kassel-Turaev, Braid Groups, ch. 2). Its crossings are listed, and so
-resolved, one core at a time, then the curve's own crossings.
+Closed braids are built here too. Every torus boundary curve pushed into
+the solid torus next to k cores, the meridian included, is the closed braid
+of its |q| steps, each taking one curve strand around the cores and across
+the other curve strands (Kassel-Turaev, Braid Groups, ch. 2). Its crossings
+are listed, and so resolved, one core at a time, then the curve's own ones.
 """
 
 from __future__ import annotations
+
+import math
 
 from . import upoly
 from .coeffs import CoeffField, Combination
@@ -255,7 +257,6 @@ def braid_closure(word, strands: int, surface: str = DISK) -> FramedDiagram:
             raise DiagramError(f"braid letter {g} out of range for {strands} strands")
     next_arc = strands
     current = list(range(strands))  # arc at each position, bottom to top
-    start = list(range(strands))
     crossings = []
     for g in word:
         i = abs(g) - 1
@@ -268,77 +269,21 @@ def braid_closure(word, strands: int, surface: str = DISK) -> FramedDiagram:
         else:
             crossings.append((below_l, below_r, above_r, above_l))
         current[i], current[i + 1] = above_l, above_r
-    # close up: identify top arcs with the corresponding start arcs
-    rename = {}
-    for pos in range(strands):
-        top, bottom = current[pos], start[pos]
-        if top != bottom:
-            rename[top] = bottom
+    # close up: the top arc at position i becomes start arc i, so arc i is
+    # the closure arc of position i
+    rename = {top: pos for pos, top in enumerate(current) if top != pos}
     pd = [tuple(rename.get(a, a) for a in c) for c in crossings]
     used = {a for c in pd for a in c}
     # strands never crossed close into free circles
-    free = sum(1 for pos in range(strands) if current[pos] == start[pos] and start[pos] not in used)
+    free = sum(1 for pos in range(strands) if pos not in used)
     if surface == DISK:
         return FramedDiagram(DISK, pd, free_loops=free)
-    closed = {rename.get(current[pos], current[pos]) for pos in range(strands)}
-    marks = {a: 1 for a in closed if a in used}
+    marks = {a: 1 for a in range(strands) if a in used}
     return FramedDiagram(ANNULUS, pd, free_loops=0, free_cores=free, winding_marks=marks)
 
 
 # ---------------------------------------------------------------------------
 # torus boundary curves pushed into the solid torus
-#
-# The meridian (0,+-1) is the ring x = cos(2 pi t), y = sin(2 pi q t) around
-# the cores, in the annulus coordinate x and the height y: it is drawn over a
-# core where y < 0, and it crosses each core twice.
-
-
-def _ring_with_cores(q_sign: int, k: int) -> FramedDiagram:
-    """Meridian loop around k parallel core circles, 2k crossings."""
-    if k == 0:
-        return FramedDiagram(ANNULUS, free_loops=1)
-    # ring arcs r_0..r_{2k-1}; over iff y < 0, inbound half has y > 0 for q=+1
-    # core i arcs: short_i (between its two crossings), long_i (wraps, mark 1)
-    ring = [("r", j) for j in range(2 * k)]
-    short = [("s", i) for i in range(1, k + 1)]
-    long_ = [("l", i) for i in range(1, k + 1)]
-    crossings = []
-    # inbound pass: cores k, k-1, .., 1 at ring arcs r_0..r_{k-1} boundaries;
-    # ring arc r_j runs from the j-th crossing to the (j+1)-th.
-    seq = []  # (core index, curve_y_sign)
-    for i in range(k, 0, -1):
-        seq.append((i, q_sign))
-    for i in range(1, k + 1):
-        seq.append((i, -q_sign))
-    for j, (i, ysign) in enumerate(seq):
-        ring_in = ring[j - 1]
-        ring_out = ring[j]
-        inbound = j < k
-        core_in = long_[i - 1] if inbound else short[i - 1]
-        core_out = short[i - 1] if inbound else long_[i - 1]
-        if ysign < 0:
-            # curve over, core under: v_under = (1,0), v_over = (0, dx)
-            dx = -1 if inbound else 1
-            cross = dx  # cross(v_u, v_o) = dx
-            b, d = (ring_out, ring_in) if cross < 0 else (ring_in, ring_out)
-            crossings.append((i, (core_in, b, core_out, d)))
-        else:
-            # curve under, core over: v_u = (0, dx), v_o = (1, 0)
-            dx = -1 if inbound else 1
-            cross = -dx
-            b, d = (core_out, core_in) if cross < 0 else (core_in, core_out)
-            crossings.append((i, (ring_in, b, ring_out, d)))
-    crossings = [c for _, c in sorted(crossings, key=lambda e: e[0])]
-    names = {}
-
-    def nm(a):
-        if a not in names:
-            names[a] = len(names)
-        return names[a]
-
-    pd = [tuple(nm(a) for a in c) for c in crossings]
-    marks = {nm(a): 1 for a in long_}
-    return FramedDiagram(ANNULUS, pd, free_loops=0, free_cores=0, winding_marks=marks)
 
 
 def pushed_curve_with_cores(p: int, q: int, cores: int) -> FramedDiagram:
@@ -346,27 +291,29 @@ def pushed_curve_with_cores(p: int, q: int, cores: int) -> FramedDiagram:
     ``cores`` parallel copies of the core circle.
 
     The label must be primitive; p may be 0 only for the meridian (0,+-1).
-    For p >= 1 the diagram is a closed braid on cores + p strands, the
-    cores on strands 1..cores: each of the q steps takes the curve strand
-    next to them once around all cores and then across the other p - 1
-    curve strands.
+    Every diagram, the meridian's included, is a closed braid on cores +
+    max(p, 1) strands, the cores on strands 1..cores: each of the |q| steps
+    takes the curve strand next to them once around all cores and then
+    across the other p - 1 curve strands.
     """
-    import math
-
-    if type(cores) is not int or cores < 0:
-        raise DiagramError(f"the number of cores is a non-negative integer, got {cores!r}")
-    if (p, q) == (0, 0):
-        raise DiagramError("(0,0) is not a curve")
-    if math.gcd(abs(p), abs(q)) != 1:
-        raise DiagramError("non-primitive boundary curve")
+    if not all(type(v) is int for v in (p, q, cores)) or cores < 0:
+        raise DiagramError(f"expected integers p, q and cores >= 0, got ({p!r}, {q!r}, {cores!r})")
+    if math.gcd(p, q) != 1:
+        raise DiagramError(f"({p},{q}) is not a primitive curve label")
     if p < 0:
         p, q = -p, -q
     k = cores
-    if p == 0:
-        return _ring_with_cores(1 if q > 0 else -1, k)
-    step = [*range(k, 0, -1), *range(1, k + p)]
+    if p == 0 and k == 0:
+        return FramedDiagram(ANNULUS, free_loops=1)
+    # the meridian is the braid of (1,+-1) with no winding mark on arc k, which
+    # closes the curve strand: that strand is the outermost, so the arc runs
+    # back beyond every other strand, crossing nothing, not even the ray
+    strands = k + max(p, 1)
+    step = [*range(k, 0, -1), *range(1, strands)]
     word = [-g for g in step] * q if q > 0 else step[::-1] * -q
-    d = braid_closure(word, k + p, ANNULUS)
+    d = braid_closure(word, strands, ANNULUS)
+    if p == 0:
+        del d.winding_marks[k]
     # resolve one core at a time, then the curve's own crossings: this keeps
     # the frontier narrow. (1,2) with 13 cores takes 0.065 s in this order and
     # 508 s in word order (2 vCPU, Python 3.11.7)

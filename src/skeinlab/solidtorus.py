@@ -113,8 +113,8 @@ def diagram_columns(p: int, q: int, upto: int, field: CoeffField) -> list[Annulu
 
     Push the primitive curve into a boundary collar, stack it with k parallel
     cores, evaluate the bracket, and rescale by the surface-framing
-    normalization (-q^3)^(-q) for p, q both nonzero. For p >= 1 the diagram
-    is a literal closed braid (``pushed_curve_with_cores``), and the
+    normalization (-q^3)^(-q) for p, q both nonzero. Every diagram is a
+    closed braid (``pushed_curve_with_cores``), the meridian's too, and the
     normalization accounts for the difference between its blackboard framing
     and the framing the curve inherits from the boundary torus.
     """

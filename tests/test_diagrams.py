@@ -95,7 +95,10 @@ def test_push_examples():
         pushed_curve_with_cores(0, 0, 0)
 
 
-@pytest.mark.parametrize("pqk", [(2, 1, 0), (3, 1, 0), (3, 2, 0), (1, 1, 1), (1, 2, 1), (2, -1, 1), (0, -1, 2)])
+@pytest.mark.parametrize(
+    "pqk",
+    [(2, 1, 0), (3, 1, 0), (3, 2, 0), (1, 1, 1), (1, 2, 1), (2, -1, 1), (0, -1, 2), (0, 1, 0), (0, 1, 3), (0, -1, 4), (0, 1, 5)],
+)
 def test_pushed_curves_match_oracle(pqk):
     p, q_, k = pqk
     d = pushed_curve_with_cores(p, q_, k)
@@ -136,7 +139,13 @@ def test_pushed_curve_structure():
                 assert marks == [1] * k
 
 
-@pytest.mark.parametrize("pqk", [(0, 1, -1), (1, 1, -2), (2, 1, -1), (3, 2, -1), (1, 1, 1.0), (2, 1, "1"), (1, 0, True)])
+@pytest.mark.parametrize(
+    "pqk",
+    [
+        (0, 1, -1), (1, 1, -2), (2, 1, -1), (3, 2, -1), (1, 1, 1.0), (2, 1, "1"), (1, 0, True),
+        (1.0, 1, 0), (0, 1.0, 1), (2, "1", 0), (1, True, 0),
+    ],
+)
 def test_pushed_curve_rejects_bad_core_counts(pqk):
     # in a child process: a bad count must fail fast, not return or hang
     src = os.path.dirname(os.path.dirname(skeinlab.__file__))
