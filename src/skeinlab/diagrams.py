@@ -250,10 +250,10 @@ def braid_closure(word, strands: int, surface: str = DISK) -> FramedDiagram:
     around the annulus, so each closure arc crosses the reference ray once
     and carries one winding mark. Crossings are listed in word order.
     """
-    if strands < 1:
-        raise DiagramError("braid needs at least one strand")
+    if type(strands) is not int or strands < 1:
+        raise DiagramError(f"braid needs an integer number of strands >= 1, got {strands!r}")
     for g in word:
-        if g == 0 or abs(g) >= strands:
+        if type(g) is not int or g == 0 or abs(g) >= strands:
             raise DiagramError(f"braid letter {g} out of range for {strands} strands")
     next_arc = strands
     current = list(range(strands))  # arc at each position, bottom to top

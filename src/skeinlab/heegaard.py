@@ -5,8 +5,7 @@ the (p,q) curve on the boundary of H. The skein module of the glued manifold
 is the tensor product of the two solid-torus modules over the torus algebra,
 computed here as a literal truncated quotient:
 
-    span{ z_H^i (x) z_B^j } / < act(g, z_H^i) (x) z_B^j
-                               - z_H^i (x) act(g', z_B^j) >
+    span{ S_i(z_H) (x) S_j(z_B) } / < g.S_i (x) S_j - S_i (x) g'.S_j >
 
 where g runs over an algebra generating set in H-boundary coordinates and
 g' is the same curve in B-boundary coordinates (the gluing matrix transport).
@@ -15,6 +14,16 @@ relations inside the truncation, so the quotient needs nothing else. The
 generator set is the gluing image of {meridian, longitude, (1,1)}, which
 keeps the B-side actions trivial; the (1,1) generator is redundant whenever
 q^2 - q^-2 is invertible and is dropped then to keep the relations few.
+
+The rows live on the Chebyshev basis S_k of ``solidtorus``, where every curve
+acts in two terms, so a row has at most four entries, each a sum of at most
+three +-q^e. The class S_i (x) S_j is keyed (j, i): the echelon pivots on the
+largest key, and this order keeps nearly every lead a unit. The reports still
+name the z-basis classes z_H^i (x) z_B^j, and they are the same as on the
+z-basis: S_0..S_M span z^0..z^M by a unitriangular change of basis, so every
+window has the same row space, and the classes are tested in (i, j) order,
+where each S_i (x) S_j is z^i (x) z^j plus earlier classes, so the same
+classes survive.
 
 Stabilization is a heuristic: a report is flagged stable when the windows
 N, N+1 and N+2 give the same dimension. Agreement on three windows does not
@@ -33,11 +42,11 @@ import itertools
 import math
 
 from .coeffs import CoeffField, GenericQ, LaurentPoly, Rationals
-from .diagrams import AnnulusSkein
 from .errors import SkeinError, StabilizationError
 from .linalg import Echelon
-from .solidtorus import act
-from .torus import TorusSkein, normalize_label
+from .solidtorus import act, s_column  # noqa: F401  act: perfbench/layers.py wraps heegaard.act
+from .torus import normalize_label
+from .upoly import collect
 
 
 class GluingMatrix:
@@ -242,6 +251,8 @@ def _windows(gluing: GluingMatrix, field: CoeffField, start: int):
     artifact; every relation touching the inner window fits inside the padded
     one, so the image dimension is honest.
 
+    The rows are on the S-basis, from ``s_column``, with S_i (x) S_j keyed
+    (j, i); the module docstring says why the answers are the z-basis ones.
     A relation row is keyed by (generator, i, j), its content does not depend
     on the window, and a row that fits one padded window fits every larger
     one. So one echelon of relation rows serves every window: window M inserts
@@ -250,44 +261,29 @@ def _windows(gluing: GluingMatrix, field: CoeffField, start: int):
     the rows went in, so each window gets the answer of its own elimination.
     """
     gens = _generator_pairs(gluing, field)
-    growth = max(
-        [1]
-        + [abs(g_h[0]) for g_h, _ in gens]
-        + [abs(g_b[0]) for _, g_b in gens]
-    )
-    skeins = [(TorusSkein.curve(field, *g_h), TorusSkein.curve(field, *g_b)) for g_h, g_b in gens]
-    acted = [([], []) for _ in gens]  # per generator: act on z^0, z^1, ... on each side
+    growth = max(1, *(abs(g[0]) for pair in gens for g in pair))
+    acted = [([], []) for _ in gens]  # per generator: its S columns on S_0, S_1, ... on each side
     ech = (_LaurentEchelon if isinstance(field, GenericQ) else Echelon)(field)
     one = field.one()
     done = -1  # the padded window whose rows are all in ``ech``
     for M in itertools.count(start):
         padded = M + growth
         rows = []
-        for (skein_h, skein_b), (acted_h, acted_b) in zip(skeins, acted):
+        for (g_h, g_b), (acted_h, acted_b) in zip(gens, acted):
             for k in range(len(acted_h), padded + 1):
-                acted_h.append(act(skein_h, AnnulusSkein.z_power(field, k)))
-                acted_b.append(act(skein_b, AnnulusSkein.z_power(field, k)))
+                acted_h.append(s_column(field, *g_h, k))
+                acted_b.append(s_column(field, *g_b, k))
             for i in range(padded + 1):
                 left = acted_h[i]
-                fit_h = max(i, left.degree())
+                fit_h = max(i, *left)
                 if fit_h > padded:
                     continue
                 for j in range(padded + 1):
                     right = acted_b[j]
-                    fit = max(fit_h, j, right.degree())
+                    fit = max(fit_h, j, *right)
                     if fit > padded or fit <= done:
                         continue  # too big yet, or inserted with an earlier window
-                    row = {}
-                    for d, c in left.coeffs.items():
-                        row[(d, j)] = c
-                    for d, c in right.coeffs.items():
-                        key = (i, d)
-                        cur = row.get(key)
-                        nv = -c if cur is None else cur - c
-                        if nv:
-                            row[key] = nv
-                        elif key in row:
-                            del row[key]
+                    row = collect([((j, m), c) for m, c in left.items()] + [((m, i), -c) for m, c in right.items()])
                     if row:
                         rows.append(row)
         # sparse rows first: singleton pivots make later eliminations cheap
@@ -296,7 +292,7 @@ def _windows(gluing: GluingMatrix, field: CoeffField, start: int):
             ech.insert(row)
         done = padded
         test = ech.copy()
-        basis = [(i, j) for i in range(M + 1) for j in range(M + 1) if test.insert({(i, j): one})]
+        basis = [(i, j) for i in range(M + 1) for j in range(M + 1) if test.insert({(j, i): one})]
         yield M, len(basis), basis
 
 

@@ -1,23 +1,24 @@
 """Action of the torus skein algebra on the solid torus.
 
-The skein module of the solid torus is cyclic over the torus algebra and is
-generated by the empty link (Frohman-Gelca, "Skein modules and the
-noncommutative torus", Trans. AMS 352, 2000). So the whole action follows
-from the images e(p,r) = (p,r).empty, which product-to-sum fixes:
+The skein module of the solid torus is the polynomial ring in its core z.
+On the Chebyshev basis S_0 = 1, S_1 = z, S_{k+1} = z S_k - S_{k-1} every
+curve acts in two terms, by the product-to-sum formula of Frohman-Gelca
+("Skein modules and the noncommutative torus", Trans. AMS 352, 2000):
 
-    e(0,r)   = T_r(delta)                        (the meridian bounds a disk)
-    e(1,0)   = z,  e(1,1) = -q^-3 z              (framing normalization)
-    delta e(1,r) = q e(1,r+1) + q^-1 e(1,r-1)    (meridian times (1,r))
-    z e(p,r)     = q^r e(p+1,r) + q^-r e(p-1,r)  (longitude times (p,r))
+    (p,r).S_k = s q^(-r(2k+p+2)) S_{k+p} + s q^(r(2k+2-p)) S_{k-p},  s = (-1)^r
 
-with the label (0,0) on a right-hand side meaning T_0 = 2 * empty. A column
-comes from z^k = sum_j c_j T_j(z) and (a,b) * (j,0):
+for a normalized label (p,r) other than (0,0), with S_{-1} = 0 and
+S_{-m} = -S_{m-2}. It holds for non-primitive labels as well. The meridian
+(0,1) acts diagonally, by -(q^(2k+2) + q^(-2k-2)). ``s_column`` gives these
+columns over any field, each monomial from ``field.q_power``.
 
-    (a,b).z^k = 2 c_0 e(a,b) + sum_{j>=1} c_j (q^(-bj) e(a+j,b) + q^(bj) e(a-j,b))
+``act`` works on the z^k basis. ``ActionCache.columns`` reaches the S
+columns through the two integer change-of-basis matrices
 
-which holds for non-primitive labels as well. The recursions never divide,
-so they run once per process over Z[q, q^-1], and each field's columns are
-their images under ``from_laurent``; all are memoized in memory.
+    z^k = sum_t (C(k,t) - C(k,t-1)) S_{k-2t},   S_m = sum_t (-1)^t C(m-t,t) z^(m-2t),
+
+sums each z-basis entry over Z[q, q^-1] and maps it in with ``from_laurent``;
+each field's columns are memoized in memory.
 
 The diagram engine stays as an independent oracle: ``diagram_columns``
 resolves the pushed boundary curve stacked with k cores, and acceptance
@@ -26,74 +27,66 @@ criterion 6 compares it with the algebraic columns.
 
 from __future__ import annotations
 
-from .chebyshev import cheb_expand_power
+import functools
+import math
+
 from .coeffs import CoeffField, LaurentPoly
 from .diagrams import AnnulusSkein, bracket_annulus, pushed_curve_with_cores
 from .torus import TorusSkein, normalize_label
+from .upoly import collect
 
 
-class _LaurentRing(CoeffField):
-    """Z[q, q^-1] with ``LaurentPoly`` scalars, where the recursions run."""
+def s_terms(p: int, r: int, k: int) -> list[tuple[int, int, int]]:
+    """(p,r).S_k for a normalized label (p,r) != (0,0), as the terms
+    (m, sign, e) of sign * q^e * S_m; S_{-1} = 0 and S_{-m} = -S_{m-2} are
+    already applied. The two indices differ unless p = 0."""
+    s = -1 if r % 2 else 1
+    out = [(k + p, s, -r * (2 * k + p + 2))]
+    m, e = k - p, r * (2 * k + 2 - p)
+    if m >= 0:
+        out.append((m, s, e))
+    elif m < -1:
+        out.append((-m - 2, -s, e))
+    return out
 
-    tag = "laurent"
-    from_fraction = staticmethod(LaurentPoly.from_fraction)
-    q_power = staticmethod(LaurentPoly.q_power)
+
+def s_column(field: CoeffField, p: int, r: int, k: int) -> dict:
+    """(p,r).S_k on the S-basis, ``{m: scalar}`` without zero entries, for a
+    normalized label (p,r) != (0,0)."""
+    return collect((m, field.q_power(e) if sign > 0 else -field.q_power(e)) for m, sign, e in s_terms(p, r, k))
+
+
+@functools.cache
+def z_in_s(k: int) -> tuple[tuple[int, int], ...]:
+    """z^k = sum of c * S_m over the pairs (m, c)."""
+    return tuple((k - 2 * t, math.comb(k, t) - (math.comb(k, t - 1) if t else 0)) for t in range(k // 2 + 1))
+
+
+@functools.cache
+def s_in_z(m: int) -> tuple[tuple[int, int], ...]:
+    """S_m = sum of c * z^d over the pairs (d, c)."""
+    return tuple((m - 2 * t, (-1) ** t * math.comb(m - t, t)) for t in range(m // 2 + 1))
 
 
 class ActionCache:
-    """Action columns over one field, in memory: the images under ``from_laurent``
-    of the columns over Z[q, q^-1], which every field shares, like e(p,r)."""
-
-    _ring = _LaurentRing()
-    _images: dict[tuple[int, int], AnnulusSkein] = {}  # shared, over the ring
-    _laurent: dict[tuple[int, int], list[AnnulusSkein]] = {}  # shared, over the ring
+    """Action columns on the z^k basis over one field, in memory."""
 
     def __init__(self, field: CoeffField):
         self.field = field
         self._columns: dict[tuple[int, int], list[AnnulusSkein]] = {}
 
-    def image(self, p, r):
-        """e(p,r) = (p,r).empty over Z[q, q^-1]; the label (0,0) stands for T_0 = 2 * empty."""
-        p, r = normalize_label(p, r)
-        e = self._images.get((p, r))
-        if e is None:
-            F = self._ring
-            if p == 0 and r < 2:
-                e = AnnulusSkein(F, {0: F.from_int(2) if r == 0 else F.delta()})
-            elif p == 0:
-                e = self.image(0, r - 1).scale(F.delta()) - self.image(0, r - 2)
-            elif p == 1 and r in (0, 1):
-                e = AnnulusSkein.z_power(F, 1, F.one() if r == 0 else -F.q_power(-3))
-            elif p == 1:
-                s = 1 if r > 0 else -1
-                t = F.q_power(-s)
-                e = (self.image(1, r - s).scale(F.delta()) - self.image(1, r - 2 * s).scale(t)).scale(t)
-            else:
-                t = F.q_power(-r)
-                e = (self.image(p - 1, r).shift(1) - self.image(p - 2, r).scale(t)).scale(t)
-            self._images[(p, r)] = e
-        return e
-
-    def _laurent_columns(self, a, b, upto):
-        """(a,b).z^k over Z[q, q^-1] for k = 0..upto (or more); (a,b) is normalized."""
-        cols = self._laurent.setdefault((a, b), [])
-        for k in range(len(cols), upto + 1):
-            acc = {}  # z-degree -> {q-exponent: int}: the sum of the images, in plain ints
-            for j, c in cheb_expand_power(k).items():
-                for i, m in ((0, int(2 * c)),) if j == 0 else ((j, int(c)), (-j, int(c))):
-                    for d, x in self.image(a + i, b).coeffs.items():
-                        row = acc.setdefault(d, {})
-                        for t, y in x.terms.items():
-                            row[t - b * i] = row.get(t - b * i, 0) + y * m
-            cols.append(AnnulusSkein(self._ring, {d: LaurentPoly(row) for d, row in acc.items()}))
-        return cols
-
     def columns(self, p, q, upto):
-        """(p,q).z^k for k = 0..upto, for every label but (0,0)."""
+        """(p,q).z^k for k = 0..upto (or more), for every label but (0,0)."""
         a, b = normalize_label(p, q)
         cols = self._columns.setdefault((a, b), [])
-        for col in self._laurent_columns(a, b, upto)[len(cols) : upto + 1]:
-            cols.append(AnnulusSkein(self.field, [(k, self.field.from_laurent(v)) for k, v in col.coeffs.items()]))
+        for k in range(len(cols), upto + 1):
+            acc = {}  # z-degree -> {q-exponent: int}
+            for n, c in z_in_s(k):
+                for m, sign, e in s_terms(a, b, n):
+                    for d, x in s_in_z(m):
+                        row = acc.setdefault(d, {})
+                        row[e] = row.get(e, 0) + c * sign * x
+            cols.append(AnnulusSkein(self.field, [(d, self.field.from_laurent(LaurentPoly(row))) for d, row in acc.items()]))
         return cols
 
 

@@ -259,6 +259,13 @@ def test_every_small_annulus_code_matches_state_sum():
     assert count == 1692
 
 
+def test_braid_closure_rejects_non_integer_input():
+    # a float letter or strand count, or a bool read as 1, is bad input
+    for word, strands in (([1.5], 3), ([1], 2.0), ([1], True), ([], True), ([True], 2)):
+        with pytest.raises(DiagramError):
+            braid_closure(word, strands)
+
+
 def test_reidemeister_two_three_invariance():
     rii_a = braid_closure([1, 2, -1], 3)
     rii_b = braid_closure([1, 2, -1, 2, -2], 3)

@@ -318,3 +318,30 @@ def test_echelon_copy_leaves_original_untouched():
     assert twin.rank() == 4
     assert all(row == {k: one} for k, row in twin.pivots.items())
     assert ech.rank() == 2 and ech.pivots == before
+
+
+@pytest.mark.parametrize("tag", ["generic", "zeta:5", "rationals(q=-1)"])
+def test_first_window_is_spanned_by_the_h_side_classes_below_p(tag, monkeypatch):
+    # the (p,q) rows have unit leads +-q^e on S_{i+p}, so every S_m (x) S_j
+    # reduces to m < p, and the B-side longitude brings j down to 0: with the
+    # classes S_m (x) S_0, m < p, every class of the window is in the span
+    field = field_from_tag(tag)
+    base = heegaard._LaurentEchelon if tag == "generic" else Echelon
+    for p in range(2, 8):
+        for q in range(1, p):
+            if math.gcd(p, q) != 1:
+                continue
+            made = []
+
+            class Recording(base):
+                def __init__(self, field):
+                    super().__init__(field)
+                    made.append(self)
+
+            monkeypatch.setattr(heegaard, base.__name__, Recording)
+            M, _, _ = next(heegaard._windows(GluingMatrix.lens(p, q), field, max(p + 2, 4)))
+            ech = made[0]  # the relation rows; the class test ran on a copy
+            one = field.one()
+            for m in range(p):
+                ech.insert({(0, m): one})
+            assert not any(ech.insert({(j, i): one}) for i in range(M + 1) for j in range(M + 1)), (p, q)

@@ -6,8 +6,18 @@ from skeinlab.chebyshev import thread_annulus
 from skeinlab.coeffs import GenericQ, Rationals, ZetaField, root_spec
 from skeinlab.diagrams import AnnulusSkein
 from skeinlab.errors import FieldMismatchError
-from skeinlab.solidtorus import ActionCache, act, action_cache, diagram_columns
+from skeinlab.solidtorus import (
+    ActionCache,
+    act,
+    action_cache,
+    diagram_columns,
+    s_column,
+    s_in_z,
+    s_terms,
+    z_in_s,
+)
 from skeinlab.torus import TorusSkein, thread_torus, torus_mul
+from skeinlab.upoly import collect
 
 F = GenericQ()
 
@@ -133,40 +143,61 @@ def test_act_across_fields_is_rejected():
         act(curve(0, 1, zeta), z(1))
 
 
-def test_one_laurent_recursion_serves_every_field(monkeypatch):
-    # fresh process-wide caches give the same columns whichever field asks
-    # first, and each column over Z[q, q^-1] is computed once per label and k
+def test_each_field_memo_gives_the_same_columns_whichever_field_asks_first():
+    # fresh memos, filled in both orders; each extends on demand and keeps
+    # the columns it already holds
     labels = ((3, 1), (0, 1), (1, 0), (2, -1))
-    recursion = ActionCache._laurent_columns
 
     def fill(fields):
-        monkeypatch.setattr(ActionCache, "_images", {})
-        monkeypatch.setattr(ActionCache, "_laurent", {})
-        computed = []
-
-        def spy(self, a, b, upto):
-            before = len(ActionCache._laurent.get((a, b), []))
-            cols = recursion(self, a, b, upto)
-            computed.extend((a, b, k) for k in range(before, len(cols)))
-            return cols
-
-        monkeypatch.setattr(ActionCache, "_laurent_columns", spy)
         caches = [ActionCache(field) for field in fields]
         for cache in caches:
             for label in labels:
+                held = []
                 for upto in (3, 6, 2):  # extend, then reuse
-                    cache.columns(*label, upto)
-        assert sorted(computed) == [(a, b, k) for a, b in sorted(labels) for k in range(7)]
+                    cols = cache.columns(*label, upto)
+                    assert len(cols) > upto and all(a is b for a, b in zip(held, cols))
+                    held = list(cols)
         return {(cache.field.tag, label): cache.columns(*label, 6) for cache in caches for label in labels}
 
     zeta_first = fill([ZetaField(5), F])
     generic_first = fill([F, ZetaField(5)])
     assert zeta_first == generic_first
-    # the fresh zeta:5 columns are the generic ones mapped entry by entry
+    # the zeta:5 columns are the generic ones mapped entry by entry
     for label in labels:
         for col_g, col_z in zip(zeta_first[("generic", label)], zeta_first[("zeta:5", label)]):
             mapped = {k: ZetaField(5).from_laurent(v.num) for k, v in col_g.coeffs.items()}
             assert {k: v for k, v in mapped.items() if v} == col_z.coeffs
+
+
+def _in_s_basis(column):
+    """A z-basis skein moved to the S-basis: {m: scalar} without zeros."""
+    return collect((m, x * c) for d, x in column.coeffs.items() for m, c in z_in_s(d))
+
+
+def test_two_term_formula_matches_the_diagram_oracle_on_the_s_basis():
+    # labels outside criterion 6's grid; (p,r).S_k is the sum of the
+    # diagram columns (p,r).z^d over the z^d in S_k
+    for field in (F, ZetaField(7)):
+        for label in ((3, 1), (3, -2), (4, 1), (5, 2)):
+            oracle = [_in_s_basis(column) for column in diagram_columns(*label, 6, field)]
+            for k in range(7):
+                acted = collect((m, x * c) for d, c in s_in_z(k) for m, x in oracle[d].items())
+                assert s_column(field, *label, k) == acted, (field.tag, label, k)
+
+
+def test_change_of_basis_matrices_are_inverse():
+    for k in range(21):
+        assert collect((d, c * x) for m, c in z_in_s(k) for d, x in s_in_z(m)) == {k: 1}
+        assert collect((m, c * x) for d, c in s_in_z(k) for m, x in z_in_s(d)) == {k: 1}
+
+
+def test_s_columns_on_negative_indices_and_the_meridian():
+    # S_{-1} = 0 and S_{-m} = -S_{m-2}; the meridian is diagonal
+    assert s_terms(3, 0, 1) == [(4, 1, 0), (0, -1, 0)]
+    assert s_terms(3, 0, 2) == [(5, 1, 0)]
+    for k in range(6):
+        assert s_column(F, 0, 1, k) == {k: -q(2 * k + 2) - q(-2 * k - 2)}
+        assert s_column(F, 1, 0, k) == {k + 1: F.one(), **({k - 1: F.one()} if k else {})}
 
 
 def test_a_unit_curve_returns_the_cached_column():
