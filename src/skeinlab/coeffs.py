@@ -21,9 +21,10 @@ costs only what its inputs need. A ``CyclotomicScalar`` built by ``+``,
 unary ``-`` or ``*`` skips the checking constructor (kept for outside input)
 and re-canonicalises only when a ``Fraction`` is present. The inverse of a
 unit +-zeta^e comes from the zeta-power table, not ``ext_gcd``. In Q(q), a
-Laurent sum or product (denominator one) skips normalisation. The steps
-``sub_mul`` (v - w*c) and ``LaurentPoly.mul_add`` (v*a + w*b) each build one
-result in one accumulator, dropping zeros and canonicalising once.
+Laurent sum or product (denominator one) skips normalisation. The
+elimination step ``sub_mul`` (v - w*c) builds its result in one accumulator,
+dropping zeros and canonicalising once; ``RationalFunction.sub_mul`` takes the
+Laurent step on the numerators when every operand has denominator one.
 
 The chores these types share (sparse term sums, the signed-term text, the
 operators derived from ``+`` and unary ``-``) live in ``upoly``. A
@@ -132,27 +133,17 @@ class LaurentPoly(DerivedOperators):
 
     @staticmethod
     def sub_mul(v, w, c):
-        """``v - w * c``, ``v`` None for zero: the elimination step."""
-        return LaurentPoly._sum_products(dict(v.terms) if v is not None else {}, ((-1, w, c),))
-
-    @staticmethod
-    def mul_add(v, a, w, b):
-        """``v * a + w * b``: the fraction-free (cross-multiplied) step."""
-        return LaurentPoly._sum_products({}, ((1, v, a), (1, w, b)))
-
-    @staticmethod
-    def _sum_products(out, products):
-        """``out`` plus each ``s * x * y`` of ``products``, summed in ``out``."""
+        """``v - w * c``, ``v`` None for zero: the elimination step, summed in
+        one accumulator."""
+        out = dict(v.terms) if v is not None else {}
         get = out.get
-        for s, x, y in products:
-            xs = x.terms.items()
-            for e2, c2 in y.terms.items():
-                c2 *= s
-                for e1, c1 in xs:
-                    e = e1 + e2
-                    out[e] = get(e, 0) + c1 * c2
+        ws = w.terms.items()
+        for e2, c2 in c.terms.items():
+            for e1, c1 in ws:
+                e = e1 + e2
+                out[e] = get(e, 0) - c1 * c2
         if 0 in out.values():
-            out = {e: c for e, c in out.items() if c}
+            out = {e: x for e, x in out.items() if x}
         r = LaurentPoly.__new__(LaurentPoly)
         r.terms = _integral(out)
         return r
@@ -278,6 +269,14 @@ class RationalFunction(DerivedOperators):
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def sub_mul(v, w, c):
+        """``v - w * c`` (``v`` None for zero): the elimination step. Over
+        denominator one it is the Laurent step on the numerators."""
+        if w.den.terms == c.den.terms == {0: 1} and (v is None or v.den.terms == {0: 1}):
+            return w._laurent(LaurentPoly.sub_mul(None if v is None else v.num, w.num, c.num))
+        return -(w * c) if v is None else v - w * c
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction, LaurentPoly)):

@@ -33,7 +33,9 @@ Results that disagree are returned flagged, never silently truncated.
 The windows are nested: the relation rows of window N are among those of
 N+1. So there is one elimination, which grows window by window and inserts
 only the rows a window adds (``_windows``); ``dim_K_q`` walks the same pass
-until three windows agree.
+until three windows agree. It is the field elimination ``linalg.Echelon`` for
+every field, Q(q) included, where the unit leads keep almost every step on
+Laurent numerators (``RationalFunction.sub_mul``).
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .coeffs import CoeffField, GenericQ, LaurentPoly, Rationals
+from .coeffs import CoeffField, GenericQ, Rationals
 from .errors import SkeinError, StabilizationError
 from .linalg import Echelon
 from .solidtorus import act, s_column  # noqa: F401  act: perfbench/layers.py wraps heegaard.act
@@ -121,108 +123,6 @@ class LensReport:
         return f"LensReport(L({self.p},{self.q}), {self.field_tag}, dim={self.dimension}, {flag})"
 
 
-class _LaurentEchelon(Echelon):
-    """The relation echelon over the generic field, eliminated fraction-free
-    over Z[q, q^-1].
-
-    The rows hold Laurent polynomials with ``int`` coefficients; rational-
-    function division would swamp the computation with gcd work. A stored row
-    is stripped of its monomial and integer content, and when its lead is then
-    a unit +-q^e it is divided by that unit, so the lead is exactly one. Only
-    these unit pivots are kept reduced: no stored row holds a unit pivot's key
-    but its own, so a row sheds all of them in one pass of ``_subtract`` (with
-    ``LaurentPoly.sub_mul``), and a row that this clearing leaves with one entry
-    becomes the unit pivot of its key. A non-unit lead is cross-multiplied away
-    (``mul_add``), row by row, only while it is the row's lead, and the result
-    stripped (Bareiss, Math. Comp. 22, 1968); below the lead it stays in the
-    tail, because clearing it there would multiply the stored leads together.
-    Stored rows keep non-unit pivots unnormalized, so this echelon answers
-    ``insert``, ``rank`` and ``copy``, not ``normal_form``.
-    """
-
-    def __init__(self, field):
-        super().__init__(field)
-        self._sub_mul = LaurentPoly.sub_mul  # the rows are Laurent, whatever the field
-
-    def _clear(self, row):
-        # the action never divides, so every entry is already Laurent; one
-        # multiple of the coefficient denominators makes the row integral
-        out = {}
-        den = 1
-        for k, v in row.items():
-            if not v.is_laurent():
-                raise SkeinError(f"relation entry {v} is not a Laurent polynomial")
-            if v.num:
-                out[k] = v.num
-                for c in v.num.terms.values():
-                    den = math.lcm(den, c.denominator)
-        if den != 1:
-            out = {k: v * den for k, v in out.items()}
-        return out
-
-    def _strip(self, row):
-        # monomial and integer content only; polynomial gcds cost more than
-        # they save on these structured systems. A single entry is its own
-        # content: that row spans the same ray as the key alone.
-        if len(row) == 1:
-            return {k: LaurentPoly.one() for k in row}
-        shift = min(v.min_exp() for v in row.values())
-        g = 0
-        for v in row.values():
-            for c in v.terms.values():
-                g = math.gcd(g, c)
-        if shift or g != 1:
-            # the shifted quotients are nonzero ints already: skip the constructor
-            stripped = {}
-            for k, v in row.items():
-                w = stripped[k] = LaurentPoly.__new__(LaurentPoly)
-                w.terms = {e - shift: c // g for e, c in v.terms.items()}
-            row = stripped
-        return row
-
-    def insert(self, row: dict) -> bool:
-        row = self._clear(row)
-        for k in [k for k in row if k in self.pivots and self.pivots[k][k].terms == {0: 1}]:
-            self._subtract(row, self.pivots[k], row.pop(k), k)
-        # cross-multiplying two rows free of unit pivot keys keeps them free
-        while row:
-            lead = max(row)
-            piv = self.pivots.get(lead)
-            if piv is None:
-                row = self._strip(row)
-                if len(row[lead].terms) == 1:
-                    ((e, c),) = row[lead].terms.items()
-                    if c in (1, -1):  # a unit lead +-q^e: store the row divided by it
-                        self._store(lead, {k: v.shifted(-e) * c for k, v in row.items()})
-                        return True
-                self.pivots[lead] = row
-                return True
-            a = piv[lead]
-            b = -row[lead]  # a * row + b * piv clears the lead
-            new = {}
-            for k, v in row.items():
-                w = piv.get(k)
-                nv = LaurentPoly.mul_add(v, a, w, b) if w is not None else v * a
-                if nv:
-                    new[k] = nv
-            for k, w in piv.items():
-                if k not in row:
-                    nv = w * b
-                    if nv:
-                        new[k] = nv
-            row = self._strip(new) if new else new
-        return False
-
-    def _store(self, lead, row):
-        # clearing ``lead`` can leave a replaced row {k: a}, the ray of k: store {k: 1}
-        for k in super()._store(lead, row):
-            if len(self.pivots[k]) == 1 and self.pivots[k][k].terms != {0: 1}:
-                self._store(k, {k: LaurentPoly.one()})
-
-    def normal_form(self, row):
-        raise NotImplementedError("fraction-free pivots are not normalized")
-
-
 def _generator_pairs(gluing: GluingMatrix, field: CoeffField):
     """(H-label, B-label) generator pairs for the middle-linearity relations."""
     p, q = gluing.meridian
@@ -263,7 +163,7 @@ def _windows(gluing: GluingMatrix, field: CoeffField, start: int):
     gens = _generator_pairs(gluing, field)
     growth = max(1, *(abs(g[0]) for pair in gens for g in pair))
     acted = [([], []) for _ in gens]  # per generator: its S columns on S_0, S_1, ... on each side
-    ech = (_LaurentEchelon if isinstance(field, GenericQ) else Echelon)(field)
+    ech = Echelon(field)
     one = field.one()
     done = -1  # the padded window whose rows are all in ``ech``
     for M in itertools.count(start):
@@ -286,8 +186,10 @@ def _windows(gluing: GluingMatrix, field: CoeffField, start: int):
                     row = collect([((j, m), c) for m, c in left.items()] + [((m, i), -c) for m, c in right.items()])
                     if row:
                         rows.append(row)
-        # sparse rows first: singleton pivots make later eliminations cheap
-        rows.sort(key=len)
+        # smallest largest key first: a new lead then lies above the stored
+        # keys, so few stored rows hold it and ``Echelon._store`` has little
+        # to clear; the reduced echelon does not depend on the order
+        rows.sort(key=max)
         for row in rows:
             ech.insert(row)
         done = padded

@@ -9,9 +9,7 @@ sparse reduced (Gauss-Jordan) row echelon form built one row at a time. No
 stored row holds another row's pivot key, so a row reduces in one pass over
 its own keys. Rank, membership, normal forms and minimal polynomials are all
 read off it. A step adds -c times a pivot row (pivot entry one) in place, on
-that row's keys alone, by the scalars' fused ``sub_mul`` if they have one (the
-fraction-free subclass in ``heegaard`` has Laurent rows, stores unit leads as
-one to take the same step and cross-multiplies only against a non-unit lead).
+that row's keys alone, by the scalars' fused ``sub_mul`` if they have one.
 Krylov vector t of a minimal polynomial carries the tag key ``-1 - t``; as
 tags sort below every (non-negative) column, the columns are eliminated first
 and the first vector that reduces to tags alone records the linear relation.

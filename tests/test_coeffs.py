@@ -261,18 +261,33 @@ def _typed_terms(x):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(st.none(), _mixed_laurent()), _mixed_laurent(), _mixed_laurent(), _mixed_laurent())
-def test_fused_laurent_steps_equal_their_operator_expressions(v, w, c, b):
+@given(st.one_of(st.none(), _mixed_laurent()), _mixed_laurent(), _mixed_laurent())
+def test_fused_laurent_steps_equal_their_operator_expressions(v, w, c):
     # v - w*c with v absent, as given, and holding w*c, so that terms cancel
     # exactly (Fractions summing to integers among them) or everything does
     for u in (v, w * c if v is None else w * c + v):
         want = -(w * c) if u is None else u - w * c
         assert _typed_terms(LaurentPoly.sub_mul(u, w, c)) == _typed_terms(want)
     assert not LaurentPoly.sub_mul(w * c, w, c).terms
-    a = c if v is None else v
-    for x in (w, -w):  # a*w - a*w cancels to zero
-        assert _typed_terms(LaurentPoly.mul_add(w, a, x, b)) == _typed_terms(w * a + x * b)
-    assert not LaurentPoly.mul_add(w, a, w, -a).terms
+
+
+def _mixed_rational():
+    # denominator one (a Laurent element) or any nonzero mixed Laurent polynomial
+    return st.builds(RationalFunction, _mixed_laurent(), st.one_of(st.none(), _mixed_laurent().filter(bool)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.none(), _mixed_rational()), _mixed_rational(), _mixed_rational())
+def test_fused_rational_step_equals_its_operator_expression(v, w, c):
+    # the Laurent path when every operand has denominator one, the operators
+    # otherwise; v absent, as given, and holding w*c, so that terms cancel
+    for u in (v, w * c if v is None else w * c + v):
+        want = -(w * c) if u is None else u - w * c
+        got = RationalFunction.sub_mul(u, w, c)
+        assert _typed_terms(got.num) == _typed_terms(want.num)
+        assert _typed_terms(got.den) == _typed_terms(want.den)
+    zero = RationalFunction.sub_mul(w * c, w, c)
+    assert not zero.num.terms and zero.den.terms == {0: 1}
 
 
 def _cyclo_step_operands():

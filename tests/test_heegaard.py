@@ -5,12 +5,25 @@ import os
 import pytest
 
 from skeinlab import heegaard
-from skeinlab.coeffs import CyclotomicScalar, GenericQ, LaurentPoly, ZetaField, field_from_tag
+from skeinlab.coeffs import CyclotomicScalar, GenericQ, RationalFunction, ZetaField, field_from_tag
 from skeinlab.errors import SkeinError, StabilizationError
 from skeinlab.heegaard import GluingMatrix, dim_K_q, lens_module
 from skeinlab.linalg import Echelon
 
 F = GenericQ()
+
+
+def _recorded_echelons(monkeypatch, base=Echelon):
+    """The list of every echelon ``heegaard`` makes from now on, as ``base``."""
+    made = []
+
+    class Recording(base):
+        def __init__(self, field):
+            super().__init__(field)
+            made.append(self)
+
+    monkeypatch.setattr(heegaard, "Echelon", Recording)
+    return made
 
 
 def test_gluing_matrix_validation():
@@ -110,24 +123,6 @@ def test_no_persistent_state(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == []
 
 
-def test_generic_elimination_keeps_int_coefficients(monkeypatch):
-    # the fraction-free elimination works over Z[q, q^-1]: no pivot entry
-    # may hold a Fraction coefficient
-    made = []
-
-    class Recording(heegaard._LaurentEchelon):
-        def __init__(self, field):
-            super().__init__(field)
-            made.append(self)
-
-    monkeypatch.setattr(heegaard, "_LaurentEchelon", Recording)
-    rep = lens_module(3, 1, GenericQ())
-    # one relation echelon, and one copy per window to test its classes on
-    assert rep.dimension == 2 and len(made) == 4
-    coeffs = [c for ech in made for piv in ech.pivots.values() for v in piv.values() for c in v.terms.values()]
-    assert coeffs and all(type(c) is int for c in coeffs)
-
-
 @pytest.mark.parametrize(
     "p, q, tag",
     [
@@ -154,16 +149,6 @@ def test_incremental_windows_match_fresh_eliminations(p, q, tag):
         assert dim == len(basis)
 
 
-@pytest.mark.parametrize("p, q", [(2, 1), (3, 1), (3, -1), (4, 1), (5, 1), (5, 2)])
-def test_fraction_free_elimination_matches_division_in_q_of_q(p, q, monkeypatch):
-    # the oracle is the field elimination of linalg, which divides in Q(q)
-    gluing = GluingMatrix.lens(p, q)
-    start = max(abs(p) + 2, 4)
-    fraction_free = list(itertools.islice(heegaard._windows(gluing, F, start), 3))
-    monkeypatch.setattr(heegaard, "_LaurentEchelon", Echelon)
-    assert list(itertools.islice(heegaard._windows(gluing, F, start), 3)) == fraction_free
-
-
 class _OperatorEchelon(Echelon):
     """The field elimination with the plain operator step ``v - w*c`` in place
     of the scalars' fused ``sub_mul``."""
@@ -178,15 +163,19 @@ class _OperatorEchelon(Echelon):
                     del row[k]
 
 
+def _coeff_types(x):
+    # the types of a scalar's coefficients, by exponent for Q(q)
+    if isinstance(x, RationalFunction):
+        return tuple(tuple(type(part.terms[e]) for e in sorted(part.terms)) for part in (x.num, x.den))
+    return tuple(map(type, getattr(x, "coeffs", (x,))))
+
+
 def _typed_pivots(ech):
     # each stored entry with the types of its coefficients
-    return {
-        k: {key: (x, tuple(map(type, getattr(x, "coeffs", (x,))))) for key, x in row.items()}
-        for k, row in ech.pivots.items()
-    }
+    return {k: {key: (x, _coeff_types(x)) for key, x in row.items()} for k, row in ech.pivots.items()}
 
 
-@pytest.mark.parametrize("tag", ["zeta:3", "zeta:5", "zeta:7", "rationals(q=-1)"])
+@pytest.mark.parametrize("tag", ["generic", "zeta:3", "zeta:5", "zeta:7", "rationals(q=-1)"])
 @pytest.mark.parametrize("p, q", [(3, 1), (5, 2), (7, 3)])
 def test_fused_elimination_step_matches_the_operator_step(p, q, tag, monkeypatch):
     # the oracle is the same elimination, stepping with the scalar operators
@@ -194,62 +183,32 @@ def test_fused_elimination_step_matches_the_operator_step(p, q, tag, monkeypatch
     gluing = GluingMatrix.lens(p, q)
     start = max(abs(p) + 2, 4)
     steps = []
-    fused = CyclotomicScalar.sub_mul
-    monkeypatch.setattr(CyclotomicScalar, "sub_mul", staticmethod(lambda *args: steps.append(1) or fused(*args)))
+    for scalar in (CyclotomicScalar, RationalFunction):
+        fused = scalar.sub_mul
+        step = staticmethod(lambda *args, scalar=scalar, fused=fused: steps.append(scalar) or fused(*args))
+        monkeypatch.setattr(scalar, "sub_mul", step)
     runs = []
     for base in (Echelon, _OperatorEchelon):
-        made = []
-
-        class Recording(base):
-            def __init__(self, field):
-                super().__init__(field)
-                made.append(self)
-
-        monkeypatch.setattr(heegaard, "Echelon", Recording)
+        made = _recorded_echelons(monkeypatch, base)
         windows = list(itertools.islice(heegaard._windows(gluing, field, start), 3))
         runs.append((windows, [_typed_pivots(ech) for ech in made]))
     assert len(runs[0][1]) == 4
     assert runs[0] == runs[1]
-    assert bool(steps) == tag.startswith("zeta:")  # Q(zeta_n) rows took the fused step
-
-
-def test_unit_lead_pivot_is_stored_with_lead_one():
-    ech = heegaard._LaurentEchelon(F)
-    # lead -q^3; the content strip shifts it to -q^4, then the row is divided by it
-    assert ech.insert({(1, 0): -F.q_power(3), (0, 0): F.from_fraction(2) * F.q_power(-1) + F.one()})
-    piv = ech.pivots[(1, 0)]
-    assert piv[(1, 0)] == LaurentPoly.one()
-    assert piv[(0, 0)] == LaurentPoly({-4: -2, -3: -1})
-    assert all(type(c) is int for v in piv.values() for c in v.terms.values())
-    # a non-unit lead is kept as it is, and a step against it still reduces;
-    # the unit pivot key (1, 0) is cleared into (0, 0) first, and the strip
-    # then shifts the row by q^4
-    assert ech.insert({(2, 0): F.from_fraction(2) + F.q_power(1), (1, 0): F.one()})
-    assert ech.pivots[(2, 0)] == {(2, 0): LaurentPoly({5: 1, 4: 2}), (0, 0): LaurentPoly({1: 1, 0: 2})}
-    assert not ech.insert({(2, 0): F.from_fraction(4) + F.q_power(1) * 2, (1, 0): F.from_fraction(2)})
-    assert ech.insert({(2, 0): F.one()})
+    # Q(q) and Q(zeta_n) rows took their scalars' fused step; Fraction has none
+    assert set(steps) == {"generic": {RationalFunction}, "rationals(q=-1)": set()}.get(tag, {CyclotomicScalar})
 
 
 @pytest.mark.parametrize("p, q, tag", [(3, 1, "zeta:5"), (4, 1, "rationals(q=-1)"), (5, 2, "generic")])
 def test_no_stored_tail_holds_a_unit_pivot_key(p, q, tag, monkeypatch):
     # the echelons stay reduced against their unit pivots, which over a field
     # are all of them; the test copies of the windows included
-    made = []
-    base = heegaard._LaurentEchelon if tag == "generic" else Echelon
-
-    class Recording(base):
-        def __init__(self, field):
-            super().__init__(field)
-            made.append(self)
-
-    monkeypatch.setattr(heegaard, "_LaurentEchelon" if tag == "generic" else "Echelon", Recording)
+    made = _recorded_echelons(monkeypatch)
     lens_module(p, q, field_from_tag(tag))
     assert len(made) == 4
     for ech in made:
-        one = LaurentPoly.one() if tag == "generic" else ech.field.one()
+        one = ech.field.one()
         units = {k for k, row in ech.pivots.items() if row[k] == one}
-        if tag != "generic":
-            assert len(units) == ech.rank()
+        assert len(units) == ech.rank()
         assert units and all(units.isdisjoint(set(row) - {k}) for k, row in ech.pivots.items())
 
 
@@ -259,24 +218,31 @@ def test_no_stored_tail_holds_a_unit_pivot_key(p, q, tag, monkeypatch):
     ids=["L(3,1)", "dim_K_q(5,2)", "dim_K_q(7,3)"],
 )
 def test_no_stored_one_entry_row_has_a_non_unit_entry(run, monkeypatch):
-    # a one-entry row {k: a} spans the ray of k, so it is stored as {k: 1}
-    # and cleared from the other rows, also when clearing a unit pivot key
-    # from a non-unit row leaves it behind
-    made = []
-
-    class Recording(heegaard._LaurentEchelon):
-        def __init__(self, field):
-            super().__init__(field)
-            made.append(self)
-
-    monkeypatch.setattr(heegaard, "_LaurentEchelon", Recording)
+    # over Q(q) every stored row, a one-entry row {k: a} included, has lead
+    # one and holds no other pivot key, also on the dim_K_q walks of L(5,2)
+    # and L(7,3), whose eliminations divide by non-unit leads
+    made = _recorded_echelons(monkeypatch)
     run()
     assert len(made) == 4
-    one = LaurentPoly.one()
+    one = F.one()
     for ech in made:
-        assert all(row[k] == one for k, row in ech.pivots.items() if len(row) == 1)
-        units = {k for k, row in ech.pivots.items() if row[k] == one}
-        assert all(units.isdisjoint(set(row) - {k}) for k, row in ech.pivots.items())
+        assert all(row[k] == one for k, row in ech.pivots.items())
+        assert all(set(ech.pivots).isdisjoint(set(row) - {k}) for k, row in ech.pivots.items())
+
+
+_COPRIME_LENS_LABELS = [(p, q) for p in range(8) for q in range(-p, p + 1) if math.gcd(p, q) == 1]
+
+
+@pytest.mark.parametrize("p, q", _COPRIME_LENS_LABELS)
+def test_generic_lens_reports_have_the_hoste_przytycki_rank(p, q):
+    # K(L(p,q)) is free of rank floor(p/2) + 1 (Hoste-Przytycki), on the
+    # classes zH^0*zB^j; the fraction-free Laurent elimination, an
+    # independent path, printed exactly these reports, all three windows agreeing
+    N, dim = max(p + 2, 4), p // 2 + 1
+    assert lens_module(p, q, F).to_json() == {
+        "p": p, "q": q, "field": "generic", "truncation": N, "dimension": dim, "stabilized": True,
+        "basis": [f"zH^0*zB^{j}" for j in range(dim)], "dims_by_truncation": {str(M): dim for M in (N, N + 1, N + 2)},
+    }
 
 
 def test_lens_reports_are_pinned():
@@ -305,15 +271,15 @@ def test_lens_reports_are_pinned():
 
 
 def test_echelon_copy_leaves_original_untouched():
-    ech = heegaard._LaurentEchelon(F)
+    ech = Echelon(F)
     one = F.one()
     assert ech.insert({(0, 0): one, (1, 0): F.q_power(2)})
     assert ech.insert({(0, 1): one})
     before = {k: dict(v) for k, v in ech.pivots.items()}
     twin = ech.copy()
     assert twin.insert({(1, 1): one, (0, 0): F.q_power(-1)})
-    # reduces against a pivot row the two echelons share, to the new unit
-    # pivot key (0, 0), which the twin then clears from every tail
+    # reduces against a pivot row the two echelons share, to the new pivot
+    # key (0, 0), which the twin then clears from every tail
     assert twin.insert({(1, 0): one})
     assert twin.rank() == 4
     assert all(row == {k: one} for k, row in twin.pivots.items())
@@ -326,19 +292,11 @@ def test_first_window_is_spanned_by_the_h_side_classes_below_p(tag, monkeypatch)
     # reduces to m < p, and the B-side longitude brings j down to 0: with the
     # classes S_m (x) S_0, m < p, every class of the window is in the span
     field = field_from_tag(tag)
-    base = heegaard._LaurentEchelon if tag == "generic" else Echelon
     for p in range(2, 8):
         for q in range(1, p):
             if math.gcd(p, q) != 1:
                 continue
-            made = []
-
-            class Recording(base):
-                def __init__(self, field):
-                    super().__init__(field)
-                    made.append(self)
-
-            monkeypatch.setattr(heegaard, base.__name__, Recording)
+            made = _recorded_echelons(monkeypatch)
             M, _, _ = next(heegaard._windows(GluingMatrix.lens(p, q), field, max(p + 2, 4)))
             ech = made[0]  # the relation rows; the class test ran on a copy
             one = field.one()
