@@ -28,8 +28,10 @@ Laurent step on the numerators when every operand has denominator one.
 
 The chores these types share (sparse term sums, the signed-term text, the
 operators derived from ``+`` and unary ``-``) live in ``upoly``. A
-``CoeffField`` subclass defines ``from_fraction``, ``q_power``, ``from_laurent``
-and ``scalar_from_json``; the rest of a field comes from those and the scalars.
+``CoeffField`` subclass defines ``from_fraction``, ``q_power`` and
+``scalar_from_json``; the rest of a field comes from those and the scalars.
+A generic scalar reaches a field through ``specialize_scalar``, which sums
+``q_power(e) * c`` over its terms.
 """
 
 from __future__ import annotations
@@ -551,10 +553,10 @@ class CoeffField:
 
     Scalars themselves carry the arithmetic through operator overloading;
     the field supplies constants, inversion, parsing and JSON forms. A field
-    defines its ``tag``, ``from_fraction`` (the scalar of a rational), ``q_power``,
-    ``from_laurent`` (the image of a Laurent polynomial under q -> ``q_power(1)``)
-    and ``scalar_from_json``; the constants come from ``from_fraction``, and
-    inversion and JSON from the scalar's ``inv`` and ``to_json``.
+    defines its ``tag``, ``from_fraction`` (the scalar of a rational),
+    ``q_power`` and ``scalar_from_json``; the constants come from
+    ``from_fraction``, and inversion and JSON from the scalar's ``inv`` and
+    ``to_json``.
     """
 
     tag: str
@@ -610,11 +612,6 @@ class Rationals(CoeffField):
     def inv(self, x):
         return 1 / Fraction(x)
 
-    def from_laurent(self, x):
-        # q^e = q^(e mod 2): sum the coefficients of each parity as they are
-        even = sum(c for e, c in x.terms.items() if not e % 2)
-        return self.from_fraction(even) + self.q_power(1) * (sum(x.terms.values()) - even)
-
     def scalar_to_json(self, x):
         return frac_str(Fraction(x))
 
@@ -627,16 +624,12 @@ class GenericQ(CoeffField):
 
     def __init__(self):
         self.tag = "generic"
-        self._one = RationalFunction(1)
 
     def from_fraction(self, c):
         return RationalFunction(c)
 
     def q_power(self, e):
         return RationalFunction(LaurentPoly.q_power(e))
-
-    def from_laurent(self, x):
-        return self._one._laurent(x)  # over denominator one: already reduced
 
     def scalar_from_json(self, data):
         return RationalFunction.from_json(data)
@@ -656,12 +649,6 @@ class ZetaField(CoeffField):
     def q_power(self, e):
         return CyclotomicScalar.zeta_power(self.n, e)
 
-    def from_laurent(self, x):
-        out = [0] * _cyclo_data(self.n)[0]  # fold q^e to q^(e mod n), sum table vectors
-        for e, c in collect((e % self.n, c) for e, c in x.terms.items()).items():
-            out = [o + a * c for o, a in zip(out, CyclotomicScalar.zeta_power(self.n, e).coeffs)]
-        return CyclotomicScalar._new(self.n, out)
-
     def scalar_from_json(self, data):
         # read the order first: building Q(zeta_n) for a large wrong n is slow
         n = int_from_json(data["n"])
@@ -675,19 +662,26 @@ def field_from_tag(tag: str) -> CoeffField:
         return GenericQ()
     if tag == "rationals":
         return Rationals()
-    if tag.startswith("rationals(q="):
-        return Rationals(Fraction(tag[len("rationals(q=") : -1]))
+    if tag.startswith("rationals(q=") and tag.endswith(")"):
+        try:
+            value = Fraction(tag[len("rationals(q=") : -1])
+        except (ValueError, ZeroDivisionError):  # "1/0" raises the latter
+            raise ValueError(f"coefficient field tag {tag!r}: q is not a rational number") from None
+        return Rationals(value)
     if tag.startswith("zeta:"):
         return ZetaField(int(tag.split(":", 1)[1]))
     raise ValueError(f"unknown coefficient field tag {tag!r}")
 
 
 def specialize_scalar(x, field: CoeffField):
-    """Map a generic-q scalar (RationalFunction/LaurentPoly) into ``field``;
-    a denominator that vanishes there raises ZeroDivisionError."""
-    if isinstance(x, LaurentPoly):
-        return field.from_laurent(x)
-    return field.from_laurent(x.num) * field.inv(field.from_laurent(x.den))
+    """Map a generic-q scalar (RationalFunction/LaurentPoly) into ``field``,
+    q to ``field.q_power(1)``; a denominator that vanishes there raises
+    ZeroDivisionError."""
+
+    def image(poly):
+        return sum((field.q_power(e) * c for e, c in poly.terms.items()), field.zero())
+
+    return image(x) if isinstance(x, LaurentPoly) else image(x.num) * field.inv(image(x.den))
 
 
 # ---------------------------------------------------------------------------

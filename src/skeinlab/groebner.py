@@ -37,6 +37,8 @@ class PolyIdeal:
         self.vars = tuple(variables)
         if not self.vars:
             raise SkeinError("an ideal needs at least one variable")
+        if not all(isinstance(v, str) and v for v in self.vars):
+            raise SkeinError(f"variable names must be non-empty strings, got {list(self.vars)}")
         if len(set(self.vars)) != len(self.vars):
             raise SkeinError(f"repeated variable in {list(self.vars)}")
         gens = []

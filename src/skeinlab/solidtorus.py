@@ -12,13 +12,13 @@ S_{-m} = -S_{m-2}. It holds for non-primitive labels as well. The meridian
 (0,1) acts diagonally, by -(q^(2k+2) + q^(-2k-2)). ``s_column`` gives these
 columns over any field, each monomial from ``field.q_power``.
 
-``act`` works on the z^k basis. ``ActionCache.columns`` reaches the S
-columns through the two integer change-of-basis matrices
+``act`` works on the z^k basis. ``ActionCache.columns`` builds each column in
+the field from ``s_column`` and the two integer change-of-basis matrices
 
-    z^k = sum_t (C(k,t) - C(k,t-1)) S_{k-2t},   S_m = sum_t (-1)^t C(m-t,t) z^(m-2t),
+    z^k = sum_t (C(k,t) - C(k,t-1)) S_{k-2t},   S_m = sum_t (-1)^t C(m-t,t) z^(m-2t):
 
-sums each z-basis entry over Z[q, q^-1] and maps it in with ``from_laurent``;
-each field's columns are memoized in memory.
+it moves z^k to the S-basis, acts there, and moves the result back. Each
+field's columns are memoized in memory.
 
 The diagram engine stays as an independent oracle: ``diagram_columns``
 resolves the pushed boundary curve stacked with k cores, and acceptance
@@ -30,30 +30,24 @@ from __future__ import annotations
 import functools
 import math
 
-from .coeffs import CoeffField, LaurentPoly
+from .coeffs import CoeffField
 from .diagrams import AnnulusSkein, bracket_annulus, pushed_curve_with_cores
 from .torus import TorusSkein, normalize_label
 from .upoly import collect
 
 
-def s_terms(p: int, r: int, k: int) -> list[tuple[int, int, int]]:
-    """(p,r).S_k for a normalized label (p,r) != (0,0), as the terms
-    (m, sign, e) of sign * q^e * S_m; S_{-1} = 0 and S_{-m} = -S_{m-2} are
-    already applied. The two indices differ unless p = 0."""
-    s = -1 if r % 2 else 1
-    out = [(k + p, s, -r * (2 * k + p + 2))]
-    m, e = k - p, r * (2 * k + 2 - p)
-    if m >= 0:
-        out.append((m, s, e))
-    elif m < -1:
-        out.append((-m - 2, -s, e))
-    return out
-
-
 def s_column(field: CoeffField, p: int, r: int, k: int) -> dict:
     """(p,r).S_k on the S-basis, ``{m: scalar}`` without zero entries, for a
-    normalized label (p,r) != (0,0)."""
-    return collect((m, field.q_power(e) if sign > 0 else -field.q_power(e)) for m, sign, e in s_terms(p, r, k))
+    normalized label (p,r) != (0,0); S_{-1} = 0 and S_{-m} = -S_{m-2} are
+    applied. The two indices differ unless p = 0."""
+    s = -1 if r % 2 else 1
+    terms = [(k + p, s, -r * (2 * k + p + 2))]
+    m, e = k - p, r * (2 * k + 2 - p)
+    if m >= 0:
+        terms.append((m, s, e))
+    elif m < -1:
+        terms.append((-m - 2, -s, e))
+    return collect((m, field.q_power(e) if sign > 0 else -field.q_power(e)) for m, sign, e in terms)
 
 
 @functools.cache
@@ -80,13 +74,8 @@ class ActionCache:
         a, b = normalize_label(p, q)
         cols = self._columns.setdefault((a, b), [])
         for k in range(len(cols), upto + 1):
-            acc = {}  # z-degree -> {q-exponent: int}
-            for n, c in z_in_s(k):
-                for m, sign, e in s_terms(a, b, n):
-                    for d, x in s_in_z(m):
-                        row = acc.setdefault(d, {})
-                        row[e] = row.get(e, 0) + c * sign * x
-            cols.append(AnnulusSkein(self.field, [(d, self.field.from_laurent(LaurentPoly(row))) for d, row in acc.items()]))
+            in_s = collect((m, x * c) for n, c in z_in_s(k) for m, x in s_column(self.field, a, b, n).items())
+            cols.append(AnnulusSkein(self.field, [(d, x * y) for m, x in in_s.items() for d, y in s_in_z(m)]))
         return cols
 
 

@@ -120,10 +120,19 @@ def test_lens_cli_negative_q(tmp_path, capsys):
 
 
 def test_lens_cli_refuses_a_field_without_q(capsys):
-    # the action columns are images of columns over Z[q, q^-1], which need q
+    # every action scalar is a power of q, so a field without q cannot run it
     assert main(["lens", "--p", "3", "--q", "1", "--field", "rationals"]) == 2
     err = capsys.readouterr().err
     assert "no value for q" in err and "Traceback" not in err
+
+
+def test_cli_refuses_a_field_tag_whose_q_is_not_a_number(tmp_path, capsys):
+    diagram = write(tmp_path / "unknot.json", {"surface": "disk", "crossings": [], "free_loops": 1})
+    for tag in ("rationals(q=1/0)", "rationals(q=one)"):
+        for argv in (["lens", "--p", "3", "--q", "1"], ["bracket", diagram]):
+            assert main([*argv, "--field", tag]) == 2, (tag, argv)
+            captured = capsys.readouterr()
+            assert captured.out == "" and tag in captured.err and "Traceback" not in captured.err, (tag, argv)
 
 
 def test_lens_cli_deterministic(tmp_path):
@@ -253,13 +262,15 @@ def test_json_of_wrong_shape_is_bad_input(tmp_path, capsys):
 
 def test_malformed_ideals_are_bad_input(tmp_path, capsys):
     # each of these used to exit 0: x^-1 as the unit ideal ("dimension 0"),
-    # x^1.5 - 4 as x - 4, a repeated or an empty variable list as an
-    # infinite quotient
+    # x^1.5 - 4 as x - 4, a repeated or an empty variable list, or a name
+    # that is not a non-empty string, as an infinite quotient
     ideals = {
         "negative": {"vars": ["x"], "gens": [{"terms": [[[-1], "1"]]}]},
         "fractional": {"vars": ["x"], "gens": [{"terms": [[[1.5], "1"], [[0], "-4"]]}]},
         "repeated": {"vars": ["x", "x"], "gens": [{"terms": [[[2, 0], "1"], [[0, 0], "-1"]]}]},
         "empty": {"vars": [], "gens": []},
+        "not a name": {"vars": [1], "gens": []},
+        "empty name": {"vars": ["x", ""], "gens": []},
     }
     for name, ideal in ideals.items():
         path = write(tmp_path / f"{name}.json", ideal)
