@@ -7,6 +7,7 @@ by ``skeinlab accept`` and by the test module tests/test_acceptance.py.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from fractions import Fraction
@@ -171,15 +172,10 @@ def criterion_6_action_cross_validation():
     )
 
 
-_LENS_DIMS: dict[tuple[int, int], int] = {}
 # L(p,1) for p = 2..8, and two lens spaces with q != 1
 _LENS_ANCHORS = [(p, 1) for p in range(2, 9)] + [(5, 2), (7, 3)]
-
-
-def _lens_dim(p, q):
-    if (p, q) not in _LENS_DIMS:
-        _LENS_DIMS[(p, q)] = dim_K_q(p, q)
-    return _LENS_DIMS[(p, q)]
+# criteria 7 and 8 share the anchors' dimensions
+_lens_dim = functools.cache(dim_K_q)
 
 
 def criterion_7_lens_anchors():
@@ -353,7 +349,7 @@ CRITERIA = (
 )
 
 
-def run_all(verbose=True):
+def run_all():
     results = []
     for name, fn in CRITERIA:
         start = time.time()
@@ -363,9 +359,7 @@ def run_all(verbose=True):
             passed, detail = False, f"exception: {exc!r}"
         elapsed = time.time() - start
         results.append((name, passed, detail, elapsed))
-        if verbose:
-            flag = "PASS" if passed else "FAIL"
-            print(f"[{flag}] {name}: {detail} ({elapsed:.1f}s)", flush=True)
-    if verbose:
-        print(CAVEAT, flush=True)
+        flag = "PASS" if passed else "FAIL"
+        print(f"[{flag}] {name}: {detail} ({elapsed:.1f}s)", flush=True)
+    print(CAVEAT, flush=True)
     return results

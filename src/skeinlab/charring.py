@@ -12,6 +12,7 @@ on the factor.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .artinian import artinian_decompose
@@ -67,8 +68,6 @@ class Word:
 VARS2 = ("x", "y", "z")
 VARS1 = ("x",)
 
-_TRACE_CACHE: dict[str, MultiPoly] = {}
-
 
 def _upper_count(word: str) -> int:
     return sum(1 for ch in word if ch.isupper())
@@ -97,52 +96,42 @@ def trace_poly(word) -> MultiPoly:
     return _trace(_canonical_trace_key(letters))
 
 
+@functools.cache
 def _trace(key: str) -> MultiPoly:
-    """Trace polynomial of a canonical key.
+    """Trace polynomial of a canonical key, built once per key.
 
     tr(uv) = tr(u)tr(v) - tr(u^-1 v) applied so every recursive call strictly
     drops (length, inverse-letter count): split at a repeated letter when one
     exists, otherwise peel a leading inverse letter.
     """
-    cached = _TRACE_CACHE.get(key)
-    if cached is not None:
-        return cached
     V = VARS2
     n = len(key)
     if n == 0:
-        poly = MultiPoly.constant(V, Fraction(2))
-    elif n == 1:
-        poly = MultiPoly.variable(V, "x" if key in "aA" else "y")
-    elif n == 2 and key.lower() in ("ab", "ba"):
+        return MultiPoly.constant(V, Fraction(2))
+    if n == 1:
+        return MultiPoly.variable(V, "x" if key in "aA" else "y")
+    if n == 2 and key.lower() in ("ab", "ba"):
         if key in ("ab", "ba", "AB", "BA"):  # AB, BA are inverses of ba, ab
-            poly = MultiPoly.variable(V, "z")
-        else:
-            # one letter inverted: tr(a b^-1) = x y - z
-            poly = MultiPoly.variable(V, "x") * MultiPoly.variable(V, "y") - MultiPoly.variable(V, "z")
+            return MultiPoly.variable(V, "z")
+        # one letter inverted: tr(a b^-1) = x y - z
+        return MultiPoly.variable(V, "x") * MultiPoly.variable(V, "y") - MultiPoly.variable(V, "z")
+    repeated = next((ch for ch in set(key) if key.count(ch) > 1), None)
+    if repeated is not None:
+        i = key.index(repeated)
+        w = key[i:] + key[:i]
+        j = w.index(repeated, 1)
+        u, v = w[:j], w[j:]  # both pieces shorter; the mixed word cancels at the seam
     else:
-        repeated = next((ch for ch in set(key) if key.count(ch) > 1), None)
-        if repeated is not None:
-            i = key.index(repeated)
-            w = key[i:] + key[:i]
-            j = w.index(repeated, 1)
-            w1, w2 = w[:j], w[j:]
-            # both pieces shorter; the mixed word cancels at the seam
-            poly = _trace(_canonical_trace_key(w1)) * _trace(_canonical_trace_key(w2)) - _trace(
-                _canonical_trace_key(inverse_word(w1) + w2)
-            )
-        else:
-            uppers = [i for i, ch in enumerate(key) if ch.isupper()]
-            if not uppers:
-                raise SkeinError(f"unexpected irreducible trace word {key!r}")
-            i = uppers[0]
-            w = key[i:] + key[:i]
-            first, rest = w[0], w[1:]
-            # tr(L rest) = tr(L^-1) tr(rest) - tr(L^-1 rest): one less inverse
-            poly = _trace(_canonical_trace_key(first)) * _trace(_canonical_trace_key(rest)) - _trace(
-                _canonical_trace_key(inverse_word(first) + rest)
-            )
-    _TRACE_CACHE[key] = poly
-    return poly
+        uppers = [i for i, ch in enumerate(key) if ch.isupper()]
+        if not uppers:
+            raise SkeinError(f"unexpected irreducible trace word {key!r}")
+        i = uppers[0]
+        w = key[i:] + key[:i]
+        # tr(L rest) = tr(L^-1) tr(rest) - tr(L^-1 rest): one less inverse
+        u, v = w[0], w[1:]
+    return _trace(_canonical_trace_key(u)) * _trace(_canonical_trace_key(v)) - _trace(
+        _canonical_trace_key(inverse_word(u) + v)
+    )
 
 
 class GroupPresentation:

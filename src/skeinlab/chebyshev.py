@@ -1,21 +1,18 @@
 """Chebyshev polynomials of the first type and threading of annulus skeins.
 
-T_0 = 2, T_1 = x, T_{k+1} = x T_k - T_{k-1}. Threading by T_m substitutes
-z -> T_m(z) into each core factor of an annulus skein, so z^k becomes
-T_m(z)^k.
+T_0 = 2, T_1 = x, T_{k+1} = x T_k - T_{k-1}. Each T_k is built once per
+process (``cheb_T`` is a ``functools.cache``) and is immutable. Threading by
+T_m substitutes z -> T_m(z) into each core factor of an annulus skein, so z^k
+becomes T_m(z)^k.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from . import upoly
 from .diagrams import AnnulusSkein
-
-# dense ascending integer coefficients; table is append-only and read-mostly
-_T_TABLE = [[2], [0, 1]]
-# entry k is cheb_expand_power(k); append-only
-_POWER_TABLE = [{0: Fraction(1, 2)}]  # x^0 = (1/2) T_0
 
 
 class ChebPoly:
@@ -49,17 +46,19 @@ class ChebPoly:
         return f"ChebPoly(T_{self.index} = {self})"
 
 
+@functools.cache
 def cheb_T(k: int) -> ChebPoly:
+    """T_k, by the recurrence from T_0 and T_1 in a loop (no recursion, so a
+    large k needs no deep stack)."""
     if k < 0:
         raise ValueError("Chebyshev index must be non-negative")
-    while len(_T_TABLE) <= k:
-        j = len(_T_TABLE)
-        prev, prev2 = _T_TABLE[j - 1], _T_TABLE[j - 2]
-        nxt = [0] + list(prev)  # x * T_{j-1}
-        for i, c in enumerate(prev2):
+    prev, cur = [0, 1], [2]  # T_{-1} = T_1 starts the loop at T_0
+    for _ in range(k):
+        nxt = [0] + cur  # x * T_j
+        for i, c in enumerate(prev):
             nxt[i] -= c
-        _T_TABLE.append(nxt)
-    return ChebPoly(k, _T_TABLE[k])
+        prev, cur = cur, nxt
+    return ChebPoly(k, cur)
 
 
 def cheb_expand_power(k: int) -> dict[int, Fraction]:
@@ -68,18 +67,19 @@ def cheb_expand_power(k: int) -> dict[int, Fraction]:
     Uses T_a T_b = T_{a+b} + T_{|a-b|} with the T_0 = 2 normalization, so the
     empty product contributes x^0 = (1/2) T_0, returned as fractional weight
     on index 0 when needed; for k >= 0 the weights are half-integers only at
-    index 0. The dict is shared through a module table: do not change it.
+    index 0. Each call returns a new dict.
     """
     if k < 0:
         raise ValueError("power must be non-negative")
-    while len(_POWER_TABLE) <= k:
+    weights = {0: Fraction(1, 2)}  # x^0 = (1/2) T_0
+    for _ in range(k):
         nxt: dict[int, Fraction] = {}
-        for j, c in _POWER_TABLE[-1].items():
+        for j, c in weights.items():
             # x * T_j = T_{j+1} + T_{|j-1|}
             for t in (j + 1, abs(j - 1)):
                 nxt[t] = nxt.get(t, Fraction(0)) + c
-        _POWER_TABLE.append(nxt)
-    return _POWER_TABLE[k]
+        weights = nxt
+    return weights
 
 
 def thread_annulus(s: AnnulusSkein, m: int) -> AnnulusSkein:

@@ -196,7 +196,7 @@ def cmd_verify(args):
 def cmd_accept(args):
     from .acceptance import run_all
 
-    results = run_all(verbose=True)
+    results = run_all()
     data = [
         {"criterion": name, "passed": passed, "detail": detail, "seconds": round(sec, 2)}
         for name, passed, detail, sec in results
@@ -206,13 +206,16 @@ def cmd_accept(args):
     return EXIT_OK if all(r["passed"] for r in data) else EXIT_ACCEPT_FAIL
 
 
+FIELD_HELP = "generic | q | zeta:<n> | rationals(q=1) | rationals(q=-1)"
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="skeinlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bracket", help="evaluate a diagram JSON file")
     p.add_argument("diagram")
-    p.add_argument("--field", default="generic", help="generic | q | zeta:<n>")
+    p.add_argument("--field", default="generic", help=FIELD_HELP)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_bracket)
 
@@ -234,7 +237,7 @@ def build_parser():
     p = sub.add_parser("lens", help="skein module of a lens space")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--field", default="generic")
+    p.add_argument("--field", default="generic", help=FIELD_HELP)
     p.add_argument("--truncation", type=int)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_lens)

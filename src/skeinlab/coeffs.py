@@ -20,11 +20,13 @@ The lens elimination spends its time on tiny scalars, so each operation
 costs only what its inputs need. A ``CyclotomicScalar`` built by ``+``,
 unary ``-`` or ``*`` skips the checking constructor (kept for outside input)
 and re-canonicalises only when a ``Fraction`` is present. The inverse of a
-unit +-zeta^e comes from the zeta-power table, not ``ext_gcd``. In Q(q), a
-Laurent sum or product (denominator one) skips normalisation. The
-elimination step ``sub_mul`` (v - w*c) builds its result in one accumulator,
-dropping zeros and canonicalising once; ``RationalFunction.sub_mul`` takes the
-Laurent step on the numerators when every operand has denominator one.
+unit +-zeta^e is a power of zeta, not an ``ext_gcd``. In Q(q), a Laurent sum
+or product (denominator one) skips normalisation, and so does an ``int``,
+``Fraction`` or ``LaurentPoly`` operand: ``_over_one`` puts each over the
+unit denominator as it is. The elimination step ``sub_mul`` (v - w*c) builds
+its result in one accumulator, dropping zeros and canonicalising once;
+``RationalFunction.sub_mul`` takes the Laurent step on the numerators when
+every operand has denominator one.
 
 The chores these types share (sparse term sums, the signed-term text, the
 operators derived from ``+`` and unary ``-``) live in ``upoly``. A
@@ -32,10 +34,14 @@ operators derived from ``+`` and unary ``-``) live in ``upoly``. A
 ``scalar_from_json``; the rest of a field comes from those and the scalars.
 A generic scalar reaches a field through ``specialize_scalar``, which sums
 ``q_power(e) * c`` over its terms.
+
+Phi_n with its reduction rows and each zeta_n^e (e mod n) are built once per
+process by a ``functools.cache``, as tuples and scalars that callers share.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -82,8 +88,8 @@ class LaurentPoly(DerivedOperators):
         return cls({0: c})
 
     @classmethod
-    def q_power(cls, e, coeff=1):
-        return cls({int(e): coeff})
+    def q_power(cls, e):
+        return cls({int(e): 1})
 
     def __bool__(self):
         return bool(self.terms)
@@ -236,7 +242,7 @@ class RationalFunction(DerivedOperators):
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, LaurentPoly)):
-            other = RationalFunction(other)
+            other = _over_one(other)
         if not isinstance(other, RationalFunction):
             return NotImplemented
         return self.num == other.num and self.den == other.den
@@ -244,18 +250,11 @@ class RationalFunction(DerivedOperators):
     def __hash__(self):
         return hash((self.num, self.den))
 
-    def _laurent(self, num):
-        """``num`` over this element's denominator, which is one: a Laurent
-        result is already in normal form."""
-        r = RationalFunction.__new__(RationalFunction)
-        r.num, r.den = num, self.den
-        return r
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction, LaurentPoly)):
-            other = RationalFunction(other)
+            other = _over_one(other)
         if self.den.terms == other.den.terms == {0: 1}:
-            return self._laurent(self.num + other.num)
+            return _over_one(self.num + other.num)
         return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __neg__(self):
@@ -265,9 +264,9 @@ class RationalFunction(DerivedOperators):
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, LaurentPoly)):
-            other = RationalFunction(other)
+            other = _over_one(other)
         if self.den.terms == other.den.terms == {0: 1}:
-            return self._laurent(self.num * other.num)
+            return _over_one(self.num * other.num)
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -277,12 +276,12 @@ class RationalFunction(DerivedOperators):
         """``v - w * c`` (``v`` None for zero): the elimination step. Over
         denominator one it is the Laurent step on the numerators."""
         if w.den.terms == c.den.terms == {0: 1} and (v is None or v.den.terms == {0: 1}):
-            return w._laurent(LaurentPoly.sub_mul(None if v is None else v.num, w.num, c.num))
+            return _over_one(LaurentPoly.sub_mul(None if v is None else v.num, w.num, c.num))
         return -(w * c) if v is None else v - w * c
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction, LaurentPoly)):
-            other = RationalFunction(other)
+            other = _over_one(other)
         if not other.num:
             raise ZeroDivisionError("division by zero rational function")
         return RationalFunction(self.num * other.den, self.den * other.num)
@@ -295,7 +294,7 @@ class RationalFunction(DerivedOperators):
     def __pow__(self, k):
         if k < 0:
             return self.inv() ** (-k)
-        return upoly.power(self, k, RationalFunction(1))
+        return upoly.power(self, k, _over_one(1))
 
     def to_json(self):
         if self.is_laurent():
@@ -314,13 +313,20 @@ class RationalFunction(DerivedOperators):
         return f"({self.num}) / ({self.den})"
 
 
+_LAURENT_ONE = LaurentPoly.one()
+
+
+def _over_one(num):
+    """``num`` (an ``int``, ``Fraction`` or ``LaurentPoly``) in Q(q), over
+    denominator one: already in normal form, so nothing is normalized."""
+    r = RationalFunction.__new__(RationalFunction)
+    r.num = num if type(num) is LaurentPoly else LaurentPoly.from_fraction(num)
+    r.den = _LAURENT_ONE
+    return r
+
+
 # ---------------------------------------------------------------------------
 # cyclotomic fields
-
-_CYCLO_CACHE: dict[int, tuple[int, list[int], list[list[int]]]] = {}
-# (n, e mod n) -> zeta_n^e; scalars are immutable, so callers share them
-_ZETA_POWERS: dict[tuple[int, int], "CyclotomicScalar"] = {}
-
 
 def cyclotomic_polynomial(n: int) -> list[int]:
     """Ascending coefficients of Phi_n, a monic polynomial over Z: x^n - 1
@@ -337,13 +343,12 @@ def cyclotomic_polynomial(n: int) -> list[int]:
     return [_canon(c) for c in q]
 
 
+@functools.cache
 def _cyclo_data(n: int):
-    data = _CYCLO_CACHE.get(n)
-    if data is None:
-        phi_n = cyclotomic_polynomial(n)
-        data = (len(phi_n) - 1, phi_n, upoly.reduction_rows(phi_n))
-        _CYCLO_CACHE[n] = data
-    return data
+    """(phi(n), Phi_n, rows) with Phi_n and ``upoly.reduction_rows`` of it as
+    tuples, built once per order."""
+    phi_n = cyclotomic_polynomial(n)
+    return len(phi_n) - 1, tuple(phi_n), tuple(map(tuple, upoly.reduction_rows(phi_n)))
 
 
 class CyclotomicScalar(DerivedOperators):
@@ -384,14 +389,7 @@ class CyclotomicScalar(DerivedOperators):
 
     @classmethod
     def zeta_power(cls, n, e):
-        key = (n, e % n)
-        value = _ZETA_POWERS.get(key)
-        if value is None:
-            _, phi_n, _ = _cyclo_data(n)
-            dense = [0] * key[1] + [1]
-            _, r = upoly.divmod(dense, phi_n)
-            value = _ZETA_POWERS[key] = cls(n, r)
-        return value
+        return _zeta_power(n, e % n)
 
     def _check(self, other):
         if self.n != other.n:
@@ -504,6 +502,13 @@ class CyclotomicScalar(DerivedOperators):
 
     def __repr__(self):
         return f"CyclotomicScalar(n={self.n}, {self})"
+
+
+@functools.cache
+def _zeta_power(n, e):
+    """zeta_n^e for 0 <= e < n; scalars are immutable, so callers share it."""
+    _, r = upoly.divmod([0] * e + [1], _cyclo_data(n)[1])
+    return CyclotomicScalar(n, r)
 
 
 # ---------------------------------------------------------------------------
@@ -626,10 +631,10 @@ class GenericQ(CoeffField):
         self.tag = "generic"
 
     def from_fraction(self, c):
-        return RationalFunction(c)
+        return _over_one(c)
 
     def q_power(self, e):
-        return RationalFunction(LaurentPoly.q_power(e))
+        return _over_one(LaurentPoly.q_power(e))
 
     def scalar_from_json(self, data):
         return RationalFunction.from_json(data)
@@ -639,7 +644,7 @@ class ZetaField(CoeffField):
     """Q(zeta_n) with q acting as zeta_n; order must not be divisible by 4."""
 
     def __init__(self, n):
-        self.spec = root_spec(n)
+        root_spec(n)  # checks the order
         self.n = n
         self.tag = f"zeta:{n}"
 
@@ -669,7 +674,11 @@ def field_from_tag(tag: str) -> CoeffField:
             raise ValueError(f"coefficient field tag {tag!r}: q is not a rational number") from None
         return Rationals(value)
     if tag.startswith("zeta:"):
-        return ZetaField(int(tag.split(":", 1)[1]))
+        try:
+            n = int(tag[len("zeta:") :])
+        except ValueError:
+            raise ValueError(f"coefficient field tag {tag!r}: the order is not an integer") from None
+        return ZetaField(n)
     raise ValueError(f"unknown coefficient field tag {tag!r}")
 
 

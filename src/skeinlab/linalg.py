@@ -74,14 +74,12 @@ class Echelon:
     def _store(self, lead, row):
         """Store ``row``, whose entry at ``lead`` is one and which holds no other
         pivot key, after clearing ``lead`` from every stored row that holds it.
-        A cleared row is a new dict in place of the old one; returns their keys."""
-        replaced = [k for k, piv in self.pivots.items() if lead in piv]
-        for k in replaced:
+        A cleared row is a new dict in place of the old one."""
+        for k in [k for k, piv in self.pivots.items() if lead in piv]:
             piv = dict(self.pivots[k])
             self._subtract(piv, row, piv.pop(lead), lead)
             self.pivots[k] = piv
         self.pivots[lead] = row
-        return replaced
 
     def _subtract(self, row, piv, c, lead):
         """``row -= c * piv`` in place, on the keys of ``piv`` other than ``lead``

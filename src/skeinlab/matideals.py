@@ -117,7 +117,7 @@ class FinAlg:
 # matrices over A, flattened to ground-field vectors of length n*n*dim
 
 
-def _flatten(mat, n, d):
+def _flatten(mat, n):
     out = []
     for i in range(n):
         for j in range(n):
@@ -166,7 +166,7 @@ class MatIdeal:
         basis = []
 
         def add(mat):
-            vec = _flatten(mat, n, d)
+            vec = _flatten(mat, n)
             if ech.insert(sparse(vec)):
                 basis.append(vec)
 
@@ -303,12 +303,12 @@ def random_finalg(rng: random.Random, max_dim: int = 4) -> FinAlg:
     return alg
 
 
-def random_matrix(rng: random.Random, algebra: FinAlg, n: int, density: float = 0.6):
+def random_matrix(rng: random.Random, algebra: FinAlg, n: int):
     d = algebra.dim
     return [
         [
             tuple(
-                Fraction(rng.randint(-2, 2)) if rng.random() < density else Fraction(0)
+                Fraction(rng.randint(-2, 2)) if rng.random() < 0.6 else Fraction(0)
                 for _ in range(d)
             )
             for _ in range(n)

@@ -17,8 +17,10 @@ the field from ``s_column`` and the two integer change-of-basis matrices
 
     z^k = sum_t (C(k,t) - C(k,t-1)) S_{k-2t},   S_m = sum_t (-1)^t C(m-t,t) z^(m-2t):
 
-it moves z^k to the S-basis, acts there, and moves the result back. Each
-field's columns are memoized in memory.
+it moves z^k to the S-basis, acts there, and moves the result back.
+``action_cache(field)`` is the process-wide memo of one field (a
+``functools.cache``); it holds each label's columns as a tuple of immutable
+skeins and extends it on demand, so a caller cannot change a held column.
 
 The diagram engine stays as an independent oracle: ``diagram_columns``
 resolves the pushed boundary curve stacked with k cores, and acceptance
@@ -67,27 +69,27 @@ class ActionCache:
 
     def __init__(self, field: CoeffField):
         self.field = field
-        self._columns: dict[tuple[int, int], list[AnnulusSkein]] = {}
+        self._columns: dict[tuple[int, int], tuple[AnnulusSkein, ...]] = {}
 
     def columns(self, p, q, upto):
-        """(p,q).z^k for k = 0..upto (or more), for every label but (0,0)."""
-        a, b = normalize_label(p, q)
-        cols = self._columns.setdefault((a, b), [])
-        for k in range(len(cols), upto + 1):
-            in_s = collect((m, x * c) for n, c in z_in_s(k) for m, x in s_column(self.field, a, b, n).items())
-            cols.append(AnnulusSkein(self.field, [(d, x * y) for m, x in in_s.items() for d, y in s_in_z(m)]))
+        """(p,q).z^k for k = 0..upto (or more), for every label but (0,0), as
+        a tuple; a longer request extends it and keeps the columns held."""
+        label = normalize_label(p, q)
+        cols = self._columns.get(label, ())
+        if len(cols) <= upto:
+            cols += tuple(self._column(*label, k) for k in range(len(cols), upto + 1))
+            self._columns[label] = cols
         return cols
 
+    def _column(self, a, b, k):
+        in_s = collect((m, x * c) for n, c in z_in_s(k) for m, x in s_column(self.field, a, b, n).items())
+        return AnnulusSkein(self.field, [(d, x * y) for m, x in in_s.items() for d, y in s_in_z(m)])
 
-_CACHES: dict[CoeffField, ActionCache] = {}
 
-
+@functools.cache
 def action_cache(field: CoeffField) -> ActionCache:
-    """The process-wide memo of ``field``; its values are immutable."""
-    cache = _CACHES.get(field)
-    if cache is None:
-        cache = _CACHES[field] = ActionCache(field)
-    return cache
+    """The process-wide memo of ``field``; its columns are immutable."""
+    return ActionCache(field)
 
 
 def diagram_columns(p: int, q: int, upto: int, field: CoeffField) -> list[AnnulusSkein]:

@@ -1,3 +1,5 @@
+import inspect
+import sys
 from fractions import Fraction
 
 import pytest
@@ -48,6 +50,27 @@ def test_power_expansion_consistency():
         x = Fraction(3, 2)
         total = sum(w * cheb_T(j).evaluate(x) for j, w in weights.items())
         assert total == x**k
+
+
+def test_power_expansion_is_a_new_dict_on_every_call():
+    weights = cheb_expand_power(4)
+    expected = dict(weights)
+    weights[0] += 1
+    weights[99] = Fraction(1)
+    assert cheb_expand_power(4) == expected
+
+
+def test_cheb_T_is_shared_and_built_without_deep_recursion():
+    assert cheb_T(7) is cheb_T(7)
+    cheb_T.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 50)  # a recursive build would need 3000 frames
+    try:
+        t = cheb_T(3000)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert t.degree() == 3000 and t.coeffs[-1] == 1
+    assert t.evaluate(Fraction(2)) == 2
 
 
 def test_thread_examples():

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import skeinlab
 from skeinlab.cli import main
 from skeinlab.coeffs import GenericQ
@@ -128,11 +130,20 @@ def test_lens_cli_refuses_a_field_without_q(capsys):
 
 def test_cli_refuses_a_field_tag_whose_q_is_not_a_number(tmp_path, capsys):
     diagram = write(tmp_path / "unknot.json", {"surface": "disk", "crossings": [], "free_loops": 1})
-    for tag in ("rationals(q=1/0)", "rationals(q=one)"):
+    for tag in ("rationals(q=1/0)", "rationals(q=one)", "zeta:x", "zeta:1.5", "zeta:"):
         for argv in (["lens", "--p", "3", "--q", "1"], ["bracket", diagram]):
             assert main([*argv, "--field", tag]) == 2, (tag, argv)
             captured = capsys.readouterr()
             assert captured.out == "" and tag in captured.err and "Traceback" not in captured.err, (tag, argv)
+
+
+def test_field_help_lists_every_tag_form(capsys):
+    for command in ("lens", "bracket"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        out = capsys.readouterr().out
+        for form in ("generic", "q", "zeta:<n>", "rationals(q=1)", "rationals(q=-1)"):
+            assert form in out, (command, form)
 
 
 def test_lens_cli_deterministic(tmp_path):

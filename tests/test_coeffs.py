@@ -99,10 +99,17 @@ def test_cyclotomic_polynomial_divides_once_per_divisor(monkeypatch):
         return plain(a, b)
 
     monkeypatch.setattr(upoly, "divmod", counting)
-    monkeypatch.setattr(coeffs, "_CYCLO_CACHE", {})
+    coeffs._cyclo_data.cache_clear()
     phi = cyclotomic_polynomial(630)
     assert len(phi) - 1 == 144  # Euler's phi(630)
     assert 0 < len(divisions) <= sum(1 for d in range(1, 631) if 630 % d == 0)
+
+
+def test_zeta_powers_are_shared_and_keyed_by_the_exponent_mod_n():
+    coeffs._zeta_power.cache_clear()
+    for e in range(-21, 21):
+        assert CyclotomicScalar.zeta_power(7, e) is CyclotomicScalar.zeta_power(7, e + 7)
+    assert coeffs._zeta_power.cache_info().currsize == 7  # one entry per power of zeta_7
 
 
 def _cyclo(n):
@@ -237,16 +244,29 @@ def test_laurent_coefficients_stay_canonical(a, b, c, k):
 
 
 @settings(max_examples=80, deadline=None)
-@given(_mixed_laurent(), _mixed_laurent())
-def test_laurent_valued_rational_functions_match_the_general_constructor(pa, pb):
-    # a Laurent sum or product skips the normalization the constructor runs
+@given(_mixed_laurent(), _mixed_laurent(), st.one_of(_coeff, _mixed_laurent()))
+def test_laurent_valued_rational_functions_match_the_general_constructor(pa, pb, c):
+    # a Laurent sum or product skips the normalization the constructor runs,
+    # and so does an int, Fraction or LaurentPoly operand c (zero included)
     a, b = RationalFunction(pa), RationalFunction(pb)
     num_a, num_b, den = a.num * b.den, b.num * a.den, a.den * b.den
-    for got, want in (
+    num_c = RationalFunction(c).num
+    cases = [
         (a + b, RationalFunction(num_a + num_b, den)),
         (a - b, RationalFunction(num_a - num_b, den)),
         (a * b, RationalFunction(a.num * b.num, den)),
-    ):
+        (a + c, RationalFunction(a.num + num_c)),
+        (a - c, RationalFunction(a.num - num_c)),
+        (a * c, RationalFunction(a.num * num_c)),
+    ]
+    if num_c:
+        cases.append((a / c, RationalFunction(a.num, num_c)))
+    if isinstance(c, LaurentPoly):
+        cases += [(GenericQ().q_power(e), RationalFunction(LaurentPoly.q_power(e))) for e in c.terms]
+    else:
+        cases += [(c * a, RationalFunction(num_c * a.num)), (GenericQ().from_fraction(c), RationalFunction(c))]
+    assert (a == c) == (a == RationalFunction(c))
+    for got, want in cases:
         assert got.num.terms == want.num.terms and got.den.terms == want.den.terms
         for x, y in ((got.num, want.num), (got.den, want.den)):
             assert [type(x.terms[e]) for e in sorted(x.terms)] == [type(y.terms[e]) for e in sorted(y.terms)]

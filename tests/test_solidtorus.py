@@ -120,7 +120,18 @@ def test_columns_match_diagram_oracle():
     # the in-memory memo extends on demand and keeps earlier columns
     cache = ActionCache(F)
     first = list(cache.columns(1, 1, 3))
-    assert cache.columns(1, 1, 5)[:4] == first == diagram_columns(1, 1, 3, F)
+    assert list(cache.columns(1, 1, 5)[:4]) == first == diagram_columns(1, 1, 3, F)
+
+
+def test_columns_are_a_tuple_whose_held_items_a_longer_request_keeps():
+    cache = ActionCache(F)
+    short = cache.columns(2, 1, 2)
+    longer = cache.columns(2, 1, 5)
+    assert type(short) is tuple and type(longer) is tuple and len(longer) == 6
+    assert all(a is b for a, b in zip(short, longer))
+    assert cache.columns(2, 1, 4) is longer
+    # equal fields share one process-wide memo
+    assert action_cache(GenericQ()) is action_cache(F)
 
 
 def test_specialized_matrix_agrees_with_specialization():
